@@ -6,7 +6,8 @@
 // flat files.  Here minidb (a from-scratch row store with PostgreSQL's
 // storage shape — see DESIGN.md) plays PostgreSQL; the advirt/STORM side
 // reads the generated chunked flat files with compiler-generated index and
-// extraction functions plus the min/max spatial chunk index.
+// extraction functions plus the spatial chunk index (a zone map over the
+// DATAINDEX coordinates).
 //
 // Expected shape (paper): STORM wins on the scan-heavy queries 1, 2, 3, 5
 // (PostgreSQL ~3.5x slower on Q1); PostgreSQL wins only on Q4, where its
@@ -35,7 +36,8 @@ int main() {
   auto plan = std::make_shared<codegen::DataServicePlan>(
       meta::parse_descriptor(gen.descriptor_text), gen.dataset_name,
       gen.root);
-  index::MinMaxIndex idx = index::MinMaxIndex::build(*plan);
+  zonemap::ZoneMap idx = zonemap::ZoneMap::build(
+      *plan, nullptr, {.attrs = zonemap::ZoneMap::dataindex_attrs(*plan)});
   storm::StormCluster cluster(plan);
 
   // Load the same rows into minidb, indexed on the spatial coordinate X

@@ -25,7 +25,8 @@ int main() {
   auto plan = std::make_shared<codegen::DataServicePlan>(
       meta::parse_descriptor(gen.descriptor_text), gen.dataset_name,
       gen.root);
-  index::MinMaxIndex idx = index::MinMaxIndex::build(*plan);
+  zonemap::ZoneMap idx = zonemap::ZoneMap::build(
+      *plan, nullptr, {.attrs = zonemap::ZoneMap::dataindex_attrs(*plan)});
 
   std::printf("=== Figure 7: Titan query workload ===\n");
   std::printf("dataset: %llu rows, %s raw, %d spatial chunks\n\n",

@@ -107,7 +107,8 @@ static void titan_part() {
       gen.root);
   // The generated code embeds the spatial chunk index (the hand-written
   // baseline hard-codes the equivalent chunk skip).
-  index::MinMaxIndex idx = index::MinMaxIndex::build(*plan);
+  zonemap::ZoneMap idx = zonemap::ZoneMap::build(
+      *plan, nullptr, {.attrs = zonemap::ZoneMap::dataindex_attrs(*plan)});
   bench::GenLib lib =
       bench::compile_generated(plan->model(), tmp.str(), "titan", &idx);
   if (!lib.ok()) {

@@ -4,10 +4,11 @@
 // maps to the associated grid point".
 //
 // Demonstrates the spatial indexing service: the same query runs with and
-// without the min/max chunk index, and the run with the index reads only
+// without the zone-map chunk index, and the run with the index reads only
 // the chunks intersecting the query box.  The composite is written as a
 // PGM image.
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "advirt.h"
@@ -34,11 +35,15 @@ int main() {
 
   // Build and persist the spatial chunk index (a one-time administrative
   // step), then reload it the way a long-running service would.
-  adv::index::MinMaxIndex::build(*plan).save(tmp.file("titan.advidx"));
-  adv::index::MinMaxIndex idx =
-      adv::index::MinMaxIndex::load(tmp.file("titan.advidx"));
+  adv::zonemap::ZoneMap::build(
+      *plan, nullptr,
+      {.attrs = adv::zonemap::ZoneMap::dataindex_attrs(*plan)})
+      .save(tmp.str(), *plan);
+  std::optional<adv::zonemap::ZoneMap> idx =
+      adv::zonemap::ZoneMap::load(tmp.str(), *plan);
+  if (!idx) return 1;
   std::printf("Spatial chunk index: %zu chunks indexed on X,Y,Z\n",
-              idx.num_chunks());
+              idx->num_chunks());
 
   // Query: a quarter of the surface, early time window.
   const char* sql =
@@ -51,7 +56,7 @@ int main() {
   adv::storm::QueryResult without = cluster.execute(sql);
   double t_scan = sw.elapsed_seconds();
   sw.reset();
-  adv::storm::QueryResult with = cluster.execute(sql, {}, &idx);
+  adv::storm::QueryResult with = cluster.execute(sql, {}, &*idx);
   double t_idx = sw.elapsed_seconds();
 
   std::printf("\nwithout index: %8.2f ms, %9llu bytes read\n", t_scan * 1e3,

@@ -9,9 +9,9 @@
 //   * codegen::emit_cpp — emits the same functions as standalone C++.
 //   * storm::StormCluster — the parallel middleware: per-node index/extract/
 //     filter/partition/transfer with a virtual node per storage node.
-//   * index::MinMaxIndex / index::RTreeFilter — the chunk indexing service.
-//   * zonemap::ZoneMap — persistent per-chunk min/max sidecars over every
-//     stored attribute (see docs/INDEXING.md).
+//   * zonemap::ZoneMap — the chunk indexing service: persistent per-chunk
+//     min/max over the stored attributes (see docs/INDEXING.md);
+//     index::RTreeFilter walks its bounds with an R-tree.
 //   * expr::Table — query results; expr::UdfRegistry — user-defined filter
 //     functions for WHERE clauses.
 //
@@ -36,7 +36,6 @@
 #include "expr/predicate.h"
 #include "expr/table.h"
 #include "expr/udf.h"
-#include "index/minmax.h"
 #include "index/rtree.h"
 #include "index/spatial_filter.h"
 #include "metadata/model.h"

@@ -110,7 +110,10 @@ class GroupBuilder {
   GroupBuilder(const DatasetModel& model, const expr::BoundQuery& q,
                const PlannerOptions& opts, const SourcePlan& sp,
                PlanResult& out)
-      : model_(model), q_(q), opts_(opts), sp_(sp), out_(out) {}
+      : model_(model), q_(q), opts_(opts), sp_(sp), out_(out),
+        filter_(opts.filter && opts.filter->constrains(q.intervals())
+                    ? opts.filter
+                    : nullptr) {}
 
   // Builds the GroupPlan for a combination that already passed the
   // incremental consistency checks (implicit points and record alignment),
@@ -187,6 +190,12 @@ class GroupBuilder {
     gp.node_id = combo.front()->node_id;
     for (const auto& [attr, v] : const_implicits)
       gp.const_implicits.emplace_back(attr, v);
+
+    // The chunk filter's handle per group file, resolved once per group.
+    file_ids_.clear();
+    if (filter_)
+      for (const std::string& path : gp.files)
+        file_ids_.push_back(filter_->resolve(path));
 
     out_.stats.groups_formed++;
     int group_id = static_cast<int>(out_.groups.size());
@@ -321,12 +330,13 @@ class GroupBuilder {
       a.offsets.push_back(off);
     }
 
-    if (opts_.filter) {
+    if (filter_) {
       for (std::size_t ci = 0; ci < gp.chunks.size(); ++ci) {
         if (gp.chunks[ci].fields.empty()) continue;
-        if (!opts_.filter->may_match(
-                gp.files[static_cast<std::size_t>(gp.chunks[ci].file)],
-                a.offsets[ci], q_.intervals())) {
+        const uint32_t file =
+            file_ids_[static_cast<std::size_t>(gp.chunks[ci].file)];
+        if (file == ChunkFilter::kNoFile) continue;
+        if (!filter_->may_match(file, a.offsets[ci], q_.intervals())) {
           out_.stats.afcs_filtered_by_index++;
           out_.stats.rows_pruned += num_rows;
           out_.stats.bytes_skipped += num_rows * gp.bytes_per_full_row();
@@ -344,6 +354,9 @@ class GroupBuilder {
   const PlannerOptions& opts_;
   const SourcePlan& sp_;
   PlanResult& out_;
+  // opts_.filter when the query bounds an attribute it covers, else null.
+  const ChunkFilter* filter_;
+  std::vector<uint32_t> file_ids_;  // per file of the current group
   // Rows reaching emit() for the group currently being enumerated
   // (scheduled or index-filtered); the remainder was plan-pruned.
   uint64_t visited_rows_ = 0;

@@ -87,6 +87,8 @@ std::vector<FlatAfc> plan_reference(const DatasetModel& model,
   std::vector<FlatAfc> out;
   const expr::QueryIntervals& qi = q.intervals();
   if (qi.contradictory()) return out;
+  // A query bounding none of the indexed attributes cannot be pruned.
+  if (filter && !filter->constrains(qi)) filter = nullptr;
 
   Participation part = choose_participation(model, q);
 
@@ -180,6 +182,15 @@ std::vector<FlatAfc> plan_reference(const DatasetModel& model,
     }
     if (!alignable) continue;
 
+    // The index's handle per region file, resolved once per group.
+    std::vector<uint32_t> file_ids(regions.size(), ChunkFilter::kNoFile);
+    for (std::size_t k = 0; filter && k < regions.size(); ++k) {
+      std::size_t same = 0;
+      while (regions[same].file != regions[k].file) ++same;
+      file_ids[k] = same < k ? file_ids[same]
+                             : filter->resolve(regions[k].file->full_path);
+    }
+
     // Record-loop window: first/last record value admitted by the query
     // interval of the record attribute (scan every value, the naive way).
     const layout::Region& rep = *regions.front().region;
@@ -232,9 +243,10 @@ std::vector<FlatAfc> plan_reference(const DatasetModel& model,
         // "Check against index."
         if (filter) {
           for (std::size_t ci = 0; ci < afc.chunks.size(); ++ci) {
-            if (regions[ci].region->fields.empty()) continue;
-            if (!filter->may_match(afc.chunks[ci].file,
-                                   afc.chunks[ci].offset, qi))
+            if (regions[ci].region->fields.empty() ||
+                file_ids[ci] == ChunkFilter::kNoFile)
+              continue;
+            if (!filter->may_match(file_ids[ci], afc.chunks[ci].offset, qi))
               return;
           }
         }

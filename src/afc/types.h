@@ -22,23 +22,36 @@
 namespace adv::afc {
 
 // Index-service hook used by the planner's "check against index" step.
-// Implementations look up per-chunk metadata (e.g. min/max of DATAINDEX
-// attributes) keyed by (file path, chunk byte offset).
+// Implementations look up per-chunk metadata (e.g. min/max of stored
+// attributes) keyed by (data file, chunk byte offset).  Planners consult it
+// in three steps so the per-chunk work is one lookup: constrains() once per
+// query, resolve() once per file of a group, may_match() per chunk.
 class ChunkFilter {
  public:
+  // resolve() result for a file the filter holds nothing for: every chunk
+  // of that file passes.
+  static constexpr uint32_t kNoFile = 0xffffffffu;
+
   virtual ~ChunkFilter() = default;
 
-  // False when the chunk starting at `offset` in `file_path` provably
-  // contains no rows matching `qi`.  Must be conservative: when in doubt
-  // (e.g. the chunk is not indexed), return true.
-  virtual bool may_match(const std::string& file_path, uint64_t offset,
+  // False when `qi` bounds none of the attributes the filter covers, so no
+  // chunk can be pruned and planners skip the filter for the query.
+  virtual bool constrains(const expr::QueryIntervals& qi) const = 0;
+
+  // The filter's handle for `file_path`, or kNoFile.
+  virtual uint32_t resolve(const std::string& file_path) const = 0;
+
+  // False when the chunk starting at `offset` in the resolved `file`
+  // provably contains no rows matching `qi`.  Must be conservative: when in
+  // doubt (e.g. the chunk is not indexed), return true.
+  virtual bool may_match(uint32_t file, uint64_t offset,
                          const expr::QueryIntervals& qi) const = 0;
 };
 
 // Source of per-chunk attribute bounds, keyed like ChunkFilter by
 // (file path, byte offset).  The code emitter embeds these bounds into
 // generated scan functions so compiled code prunes chunks the same way the
-// interpreted index function does.  index::MinMaxIndex implements this.
+// interpreted index function does.  zonemap::ZoneMap implements this.
 class ChunkBoundsSource {
  public:
   virtual ~ChunkBoundsSource() = default;

@@ -42,14 +42,6 @@ VirtualTable VirtualTable::open(const std::string& descriptor_text,
                          ? format(" (and %zu more)", problems.size() - 1)
                          : ""));
   }
-  if (!options.index_path.empty()) {
-    vt.index_ = index::MinMaxIndex::load(options.index_path);
-  } else if (options.build_index) {
-    const meta::DatasetDecl* decl =
-        vt.plan_->model().descriptor().find_dataset(dataset_name);
-    if (decl && !decl->dataindex.empty())
-      vt.index_ = index::MinMaxIndex::build(*vt.plan_);
-  }
   vt.cluster_ =
       std::make_shared<storm::StormCluster>(vt.plan_, options.cluster);
   if (!options.zonemap_dir.empty())
@@ -80,9 +72,7 @@ uint64_t VirtualTable::total_candidate_rows() const {
 }
 
 const afc::ChunkFilter* VirtualTable::chunk_filter() const {
-  if (zonemap_) return &*zonemap_;
-  if (index_) return &*index_;
-  return nullptr;
+  return zonemap_ ? &*zonemap_ : nullptr;
 }
 
 std::string VirtualTable::plan_key(const std::string& sql) const {

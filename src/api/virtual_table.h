@@ -1,6 +1,6 @@
 // VirtualTable — the one-class front door to a virtualized dataset.
 //
-// Bundles descriptor compilation, optional chunk-index construction or
+// Bundles descriptor compilation, optional zone-map construction or
 // loading, a plan cache for repeated queries, and cluster execution behind
 // a minimal interface:
 //
@@ -19,7 +19,6 @@
 
 #include "serve/plan_cache.h"
 #include "codegen/plan.h"
-#include "index/minmax.h"
 #include "storm/cluster.h"
 #include "zonemap/zonemap.h"
 
@@ -28,12 +27,7 @@ namespace adv {
 class VirtualTable {
  public:
   struct Options {
-    // Build the min/max chunk index over the DATAINDEX attributes at open
-    // time (one scan).  Ignored when the dataset declares none.
-    bool build_index = false;
-    // Load a previously saved index instead (path to an .advidx file).
-    std::string index_path;
-    // Directory holding the zone-map sidecar (<dataset>.zm.{heap,idx,meta}).
+    // Directory holding the zone-map sidecar (<dataset>.zm).
     // When set, a fresh sidecar is loaded at open time; entries for data
     // files rewritten since the build are dropped (stale metadata falls
     // back to full scans, never wrong answers).
@@ -71,7 +65,6 @@ class VirtualTable {
   const meta::Schema& schema() const { return plan_->schema(); }
   int num_nodes() const { return cluster_->num_nodes(); }
   uint64_t total_candidate_rows() const;
-  bool has_index() const { return index_.has_value(); }
   bool has_zonemap() const { return zonemap_.has_value(); }
 
   // Executes a query across the virtual cluster and returns merged rows.
@@ -92,8 +85,8 @@ class VirtualTable {
       const std::string& sql, const storm::PartitionSpec& partition = {},
       CancelToken* cancel = nullptr) const;
 
-  // The chunk filter queries run with: the zone map when present, else the
-  // min/max index, else null.
+  // The chunk filter queries run with: the zone map when present, else
+  // null.
   const afc::ChunkFilter* chunk_filter() const;
 
   // Cache key for `sql`: descriptor hash + the query's canonical printed
@@ -104,9 +97,6 @@ class VirtualTable {
   // The underlying pieces, for advanced use.
   const codegen::DataServicePlan& plan() const { return *plan_; }
   storm::StormCluster& cluster() const { return *cluster_; }
-  const index::MinMaxIndex* index() const {
-    return index_ ? &*index_ : nullptr;
-  }
   const zonemap::ZoneMap* zone_map() const {
     return zonemap_ ? &*zonemap_ : nullptr;
   }
@@ -120,7 +110,6 @@ class VirtualTable {
 
   std::shared_ptr<codegen::DataServicePlan> plan_;
   std::shared_ptr<storm::StormCluster> cluster_;
-  std::optional<index::MinMaxIndex> index_;
   std::optional<zonemap::ZoneMap> zonemap_;
   std::shared_ptr<PlanCache> plan_cache_;
   uint64_t descriptor_hash_ = 0;

@@ -42,7 +42,7 @@ namespace adv::codegen {
 // Emits the translation unit.  Group structure is unrolled at emission
 // time, so this is intended for datasets with a moderate number of files.
 //
-// When `bounds` is given (e.g. an index::MinMaxIndex built over the
+// When `bounds` is given (e.g. a zonemap::ZoneMap built over the
 // dataset), per-chunk attribute bounds are embedded into the generated
 // code and chunks whose bounds are disjoint from the query intervals are
 // skipped without I/O — the compiled equivalent of the indexing service.

@@ -41,7 +41,7 @@ struct ExtractStats {
   uint64_t bytes_read = 0;
   uint64_t rows_scanned = 0;
   uint64_t rows_matched = 0;
-  // Work the planner's chunk filter (zone-map / min-max index) removed
+  // Work the planner's chunk filter (zone map) removed
   // before extraction started: AFCs dropped, rows never scanned, bytes
   // never read.  Filled from PlanStats by whoever ran the index function.
   uint64_t afcs_pruned = 0;

@@ -6,7 +6,7 @@
 // bucketed into spatial chunks — each chunk covers one cell of a cx×cy×cz
 // grid over the extent — and chunks are stored consecutively in one file
 // per node.  A min/max chunk index over (X, Y, Z) is what the paper's
-// spatial indexing service consumes; see index/minmax.h.
+// spatial indexing service consumes; see zonemap/zonemap.h.
 #pragma once
 
 #include <cstdint>

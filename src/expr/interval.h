@@ -66,6 +66,13 @@ class QueryIntervals {
   }
   void set_in_set(std::size_t attr, std::vector<double> sorted_values);
 
+  // True when the query restricts `attr` at all (an interval narrower than
+  // everything, or an IN-set).  When false, chunk_may_match(attr, ...) is
+  // true for every chunk.
+  bool bounds(std::size_t attr) const {
+    return !intervals_[attr].is_all() || in_sets_[attr].has_value();
+  }
+
   // True when a chunk whose `attr` spans [lo, hi] can contain matching rows.
   bool chunk_may_match(std::size_t attr, double lo, double hi) const;
 

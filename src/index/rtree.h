@@ -2,8 +2,8 @@
 //
 // The indexing service uses it to answer "which chunks intersect this query
 // box" in sublinear time when a dataset has many chunks; the ablation
-// benchmark bench_ablation_index compares it against the brute-force
-// min/max scan.
+// benchmark bench_ablation_index compares it against the zone map's
+// per-chunk lookup.
 #pragma once
 
 #include <cstdint>

@@ -1,24 +1,29 @@
-// ChunkFilter backed by an R-tree over the min/max chunk index.
+// ChunkFilter backed by an R-tree over a zone map's bounds rows.
 //
-// Semantically identical to filtering with the MinMaxIndex directly, but
-// the intersecting-chunk set is computed once per query with a tree walk
-// instead of a per-chunk scan.  Create one filter per query execution; the
+// Semantically identical to filtering with the ZoneMap directly, but the
+// intersecting-row set is computed once per query with a tree walk instead
+// of a bounds test per chunk.  Create one filter per query execution; the
 // hit set is cached against the QueryIntervals instance it first sees.
 #pragma once
 
-#include <map>
 #include <vector>
 
-#include "index/minmax.h"
 #include "index/rtree.h"
+#include "zonemap/zonemap.h"
 
 namespace adv::index {
 
 class RTreeFilter : public afc::ChunkFilter {
  public:
-  explicit RTreeFilter(const MinMaxIndex& idx, std::size_t fanout = 16);
+  explicit RTreeFilter(const zonemap::ZoneMap& zm, std::size_t fanout = 16);
 
-  bool may_match(const std::string& file_path, uint64_t offset,
+  bool constrains(const expr::QueryIntervals& qi) const override {
+    return zm_.constrains(qi);
+  }
+  uint32_t resolve(const std::string& file_path) const override {
+    return zm_.resolve(file_path);
+  }
+  bool may_match(uint32_t file, uint64_t offset,
                  const expr::QueryIntervals& qi) const override;
 
   const RTree& rtree() const { return tree_; }
@@ -27,11 +32,10 @@ class RTreeFilter : public afc::ChunkFilter {
   Box query_box(const expr::QueryIntervals& qi) const;
 
  private:
-  const MinMaxIndex& idx_;
+  const zonemap::ZoneMap& zm_;
   RTree tree_;
-  std::map<ChunkKey, uint64_t> ordinals_;
   mutable const expr::QueryIntervals* cached_qi_ = nullptr;
-  mutable std::vector<bool> hits_;
+  mutable std::vector<bool> hits_;  // per zone-map row
 };
 
 }  // namespace adv::index

@@ -60,11 +60,10 @@ DataVersion DataVersion::compute(const codegen::DataServicePlan& plan,
     h = mix_file(h, f.full_path, &v.files_seen);
   }
   if (!sidecar_dir.empty()) {
-    auto sp = zonemap::ZoneMap::sidecar_paths(sidecar_dir,
-                                              model.dataset_name());
-    h = mix_file(h, sp.heap, &v.files_seen);
-    h = mix_file(h, sp.btree, &v.files_seen);
-    h = mix_file(h, sp.manifest, &v.files_seen);
+    h = mix_file(h,
+                 zonemap::ZoneMap::sidecar_path(sidecar_dir,
+                                                model.dataset_name()),
+                 &v.files_seen);
   }
   v.hash = h;
   return v;

@@ -7,10 +7,9 @@
 // — FileCache's FileId (dev, inode, size, nanosecond mtime), the same
 // identity the handle cache revalidates against, so a same-size rewrite
 // within the same wall-clock second still changes the version — plus,
-// when a zone-map sidecar directory is known, the identity of the three
-// sidecar files (<dataset>.zm.{heap,idx,meta}).  A missing file hashes as
-// an explicit "absent" marker, so creating or deleting a sidecar changes
-// the version too.
+// when a zone-map sidecar directory is known, the identity of the sidecar
+// file (<dataset>.zm).  A missing file hashes as an explicit "absent"
+// marker, so creating or deleting the sidecar changes the version too.
 //
 // The version is a *key component*, not a validation step: entries of a
 // superseded version are simply never looked up again and age out of the
@@ -36,8 +35,8 @@ struct DataVersion {
   std::string hex() const;
 
   // Stats every data file of `plan`'s dataset model (in model order) and,
-  // when `sidecar_dir` is non-empty, the zone-map sidecar triplet for the
-  // dataset under that directory.  Never throws: an unstatable file hashes
+  // when `sidecar_dir` is non-empty, the dataset's zone-map sidecar under
+  // that directory.  Never throws: an unstatable file hashes
   // as absent (a vanished file must invalidate, not crash the server).
   static DataVersion compute(const codegen::DataServicePlan& plan,
                              const std::string& sidecar_dir = std::string());

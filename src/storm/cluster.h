@@ -50,7 +50,7 @@ struct NodeStats {
   uint64_t rows_scanned = 0;
   uint64_t rows_matched = 0;
   uint64_t bytes_sent = 0;
-  // Work the chunk filter (zone map / min-max index) removed before this
+  // Work the chunk filter (zone map) removed before this
   // node's extraction started: AFCs dropped, rows never scanned, bytes
   // never read.
   uint64_t afcs_pruned = 0;

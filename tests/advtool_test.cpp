@@ -3,9 +3,12 @@
 // CMake from the build target).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
+#include "codegen/plan.h"
 #include "common/io.h"
 #include "common/tempdir.h"
 
@@ -100,15 +103,50 @@ TEST_F(AdvtoolTest, QueryLocal) {
 }
 
 TEST_F(AdvtoolTest, IndexBuildAndUse) {
-  std::string idx = root() + "/ipars.advidx";
-  RunResult b = run("index " + desc() + " IparsData --root " + root() +
-                    " --out " + idx);
+  const std::string args =
+      desc() + " IparsData --root " + root() + " --dir " + root() + "/zm";
+  RunResult b = run("index build " + args);
   EXPECT_EQ(b.exit_code, 0) << b.output;
-  EXPECT_TRUE(file_exists(idx));
-  RunResult q = run("query " + desc() + " IparsData --root " + root() +
-                    " --index " + idx +
-                    " --csv 0 \"SELECT * FROM IparsData WHERE TIME = 1\"");
+  EXPECT_TRUE(file_exists(root() + "/zm/IparsData.zm"));
+
+  RunResult i = run("index inspect " + args + " --limit 2");
+  EXPECT_EQ(i.exit_code, 0) << i.output;
+  EXPECT_NE(i.output.find("0 stale"), std::string::npos) << i.output;
+  EXPECT_NE(i.output.find("SOIL=["), std::string::npos) << i.output;
+
+  RunResult ok = run("index check " + args);
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("OK"), std::string::npos);
+
+  // Rewrite one data file in place (same bytes, later mtime): the sidecar
+  // entries for it are stale now.
+  codegen::DataServicePlan plan = codegen::DataServicePlan::from_text(
+      read_text_file(desc()), "IparsData", root());
+  const std::string victim = plan.model().files().front().full_path;
+  write_text_file(victim, read_text_file(victim));
+  std::filesystem::last_write_time(
+      victim, std::filesystem::last_write_time(victim) +
+                  std::chrono::seconds(7));
+  RunResult stale = run("index check " + args);
+  EXPECT_EQ(stale.exit_code, 1) << stale.output;
+  EXPECT_NE(stale.output.find("STALE: 1 of"), std::string::npos)
+      << stale.output;
+
+  // Queries through the partly stale sidecar answer exactly as without it.
+  const std::string query = "query " + desc() + " IparsData --root " +
+                            root() + " --csv 0 \"SELECT * FROM IparsData "
+                            "WHERE SOIL >= 0.5\"";
+  RunResult plain = run(query);
+  RunResult q = run(query + " --index " + root() + "/zm");
   EXPECT_EQ(q.exit_code, 0) << q.output;
+  auto rows = [](const std::string& out) {
+    return out.substr(0, out.find(" across"));
+  };
+  EXPECT_NE(rows(q.output).find("rows: "), std::string::npos) << q.output;
+  EXPECT_EQ(rows(q.output), rows(plain.output));
+  // The old `index --out FILE` form is gone.
+  EXPECT_EQ(run("index " + desc() + " IparsData --root " + root()).exit_code,
+            2);
 }
 
 TEST_F(AdvtoolTest, EmitCompiles) {

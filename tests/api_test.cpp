@@ -31,7 +31,7 @@ TEST(VirtualTableTest, OpenQueryRoundTrip) {
   EXPECT_EQ(vt.num_nodes(), 2);
   EXPECT_EQ(vt.schema().size(), 10u);
   EXPECT_EQ(vt.total_candidate_rows(), cfg.total_rows());
-  EXPECT_FALSE(vt.has_index());
+  EXPECT_FALSE(vt.has_zonemap());
 
   const char* sql = "SELECT * FROM IparsData WHERE TIME <= 3 AND SOIL > 0.5";
   expr::Table got = vt.query(sql);
@@ -54,13 +54,14 @@ TEST(VirtualTableTest, OpenWithIndexAndXml) {
   TempDir tmp("vtx");
   auto gen = dataset::generate_titan(cfg, tmp.str());
 
-  // XML descriptor + built index.
+  // XML descriptor + zone map built at open and saved under zonemap_dir.
   std::string xml = meta::to_xml(meta::parse_descriptor(gen.descriptor_text));
   VirtualTable::Options opt;
-  opt.build_index = true;
+  opt.build_zonemap = true;
+  opt.zonemap_dir = tmp.str();
   VirtualTable vt = VirtualTable::open(xml, "TitanData", gen.root, opt);
-  ASSERT_TRUE(vt.has_index());
-  EXPECT_EQ(vt.index()->num_chunks(),
+  ASSERT_TRUE(vt.has_zonemap());
+  EXPECT_EQ(vt.zone_map()->num_chunks(),
             static_cast<std::size_t>(cfg.num_chunks()));
 
   const char* sql =
@@ -69,12 +70,11 @@ TEST(VirtualTableTest, OpenWithIndexAndXml) {
   expr::BoundQuery q = vt.plan().bind(sql);
   EXPECT_TRUE(got.same_rows(dataset::titan_oracle(cfg, q)));
 
-  // Saved index loads through the facade too.
-  vt.index()->save(tmp.file("t.advidx"));
+  // The saved sidecar loads through the facade without a rebuild.
   VirtualTable::Options opt2;
-  opt2.index_path = tmp.file("t.advidx");
+  opt2.zonemap_dir = tmp.str();
   VirtualTable vt2 = VirtualTable::open(xml, "TitanData", gen.root, opt2);
-  EXPECT_TRUE(vt2.has_index());
+  EXPECT_TRUE(vt2.has_zonemap());
   EXPECT_TRUE(vt2.query(sql).same_rows(got));
 }
 

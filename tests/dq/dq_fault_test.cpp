@@ -8,6 +8,8 @@
 // `adv_fuzz --seed N --fault-spec ...` command.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "api/virtual_table.h"
@@ -323,18 +325,23 @@ class ZonemapCorruptionTest : public ::testing::Test {
     EXPECT_TRUE(rows_equal_exact(r.merged(), want_));
   }
 
-  void truncate_file(const std::string& path) {
-    uint64_t n = file_size(path);
-    std::filesystem::resize_file(path, n / 2);
+  std::string sidecar() const {
+    return zonemap::ZoneMap::sidecar_path(zm_dir_, "DqData");
   }
 
-  void flip_byte(const std::string& path, uint64_t at_fraction_num,
-                 uint64_t at_fraction_den) {
-    uint64_t n = file_size(path);
-    ASSERT_GT(n, 0u);
-    uint64_t pos = n * at_fraction_num / at_fraction_den;
-    if (pos >= n) pos = n - 1;
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  // Byte offsets of the sidecar's file table and bounds array
+  // (docs/INDEXING.md §2), from the header counts.
+  std::pair<uint64_t, uint64_t> tables_at() {
+    std::string bytes = read_text_file(sidecar());
+    uint64_t nattrs = 0, nfiles = 0;
+    std::memcpy(&nattrs, bytes.data() + 8, 8);
+    std::memcpy(&nfiles, bytes.data() + 16, 8);
+    const uint64_t files_at = 8 + 5 * 8 + nattrs * 16;
+    return {files_at, files_at + nfiles * 32};
+  }
+
+  void flip_byte(uint64_t pos) {
+    std::fstream f(sidecar(), std::ios::in | std::ios::out | std::ios::binary);
     f.seekg(static_cast<std::streamoff>(pos));
     char c = 0;
     f.get(c);
@@ -350,29 +357,25 @@ class ZonemapCorruptionTest : public ::testing::Test {
   uint64_t baseline_pruned_ = 0;
 };
 
-TEST_F(ZonemapCorruptionTest, TruncatedHeapFallsBack) {
-  auto sp = zonemap::ZoneMap::sidecar_paths(zm_dir_, "DqData");
-  truncate_file(sp.heap);
+TEST_F(ZonemapCorruptionTest, TruncatedFileFallsBack) {
+  std::filesystem::resize_file(sidecar(), file_size(sidecar()) / 2);
   expect_full_scan_fallback();
 }
 
-TEST_F(ZonemapCorruptionTest, BitFlippedHeapFallsBack) {
-  auto sp = zonemap::ZoneMap::sidecar_paths(zm_dir_, "DqData");
-  // Flip a byte in the middle of the page data: without checksums this
-  // would silently change a min/max bound, not fail a parse.
-  flip_byte(sp.heap, 1, 2);
+TEST_F(ZonemapCorruptionTest, FlippedBoundsByteFallsBack) {
+  // Without the checksum this would silently change a min/max bound, not
+  // fail a parse.
+  flip_byte(tables_at().second + 3);
   expect_full_scan_fallback();
 }
 
-TEST_F(ZonemapCorruptionTest, BitFlippedBtreeFallsBack) {
-  auto sp = zonemap::ZoneMap::sidecar_paths(zm_dir_, "DqData");
-  flip_byte(sp.btree, 2, 3);
+TEST_F(ZonemapCorruptionTest, FlippedFileTableByteFallsBack) {
+  flip_byte(tables_at().first + 1);  // the first file's recorded size
   expect_full_scan_fallback();
 }
 
-TEST_F(ZonemapCorruptionTest, TruncatedManifestFallsBack) {
-  auto sp = zonemap::ZoneMap::sidecar_paths(zm_dir_, "DqData");
-  truncate_file(sp.manifest);
+TEST_F(ZonemapCorruptionTest, ClippedEndMarkerFallsBack) {
+  std::filesystem::resize_file(sidecar(), file_size(sidecar()) - 3);
   expect_full_scan_fallback();
 }
 

@@ -11,7 +11,7 @@
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
 #include "dataset/titan.h"
-#include "index/minmax.h"
+#include "zonemap/zonemap.h"
 
 namespace adv::codegen {
 namespace {
@@ -86,7 +86,8 @@ TEST(EmitBoundsTest, EmbeddedIndexPrunesAndStaysCorrect) {
   auto gen = dataset::generate_titan(cfg, tmp.str());
   DataServicePlan plan = DataServicePlan::from_text(
       gen.descriptor_text, gen.dataset_name, gen.root);
-  index::MinMaxIndex idx = index::MinMaxIndex::build(plan);
+  zonemap::ZoneMap idx = zonemap::ZoneMap::build(
+      plan, nullptr, {.attrs = zonemap::ZoneMap::dataindex_attrs(plan)});
 
   std::string with_idx = emit_cpp(plan.model(), &idx);
   std::string without_idx = emit_cpp(plan.model());
@@ -172,7 +173,8 @@ TEST(EmitBoundsTest, IparsEmbeddedTimeBounds) {
   auto gen = dataset::generate_ipars(cfg, dataset::IparsLayout::kI, tmp.str());
   DataServicePlan plan = DataServicePlan::from_text(
       gen.descriptor_text, gen.dataset_name, gen.root);
-  index::MinMaxIndex idx = index::MinMaxIndex::build(plan);
+  zonemap::ZoneMap idx = zonemap::ZoneMap::build(
+      plan, nullptr, {.attrs = zonemap::ZoneMap::dataindex_attrs(plan)});
   std::string src = emit_cpp(plan.model(), &idx);
   void* h = compile(src, tmp, "ipars_bounds");
   ASSERT_NE(h, nullptr);

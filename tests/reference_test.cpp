@@ -2,14 +2,17 @@
 // incremental cartesian pruning and interval jumps) must produce exactly
 // the same aligned file chunk sets as the literal Figure 5 reference
 // implementation, for every layout and a battery of queries.  Plan-only —
-// no data files are needed to compare planners.
+// no data files are needed to compare planners, except to build the zone
+// map the chunk-index case filters with.
 #include <gtest/gtest.h>
 
 #include "afc/planner.h"
 #include "afc/reference.h"
 #include "dataset/ipars.h"
+#include "codegen/plan.h"
+#include "common/tempdir.h"
 #include "dataset/titan.h"
-#include "index/minmax.h"
+#include "zonemap/zonemap.h"
 
 namespace adv::afc {
 namespace {
@@ -100,26 +103,15 @@ TEST(ReferenceDiffTest, TitanWithChunkIndexFilter) {
   cfg.cells_y = 2;
   cfg.cells_z = 2;
   cfg.points_per_chunk = 8;
-  DatasetModel model(meta::parse_descriptor(dataset::titan_descriptor_text(cfg)),
-                     "TitanData", "/data");
-
-  // Synthesize a chunk index directly from the generator's geometry (no
-  // data files needed): bounds per (file, offset).
-  index::MinMaxIndex idx({0, 1, 2});
-  int cpn = cfg.num_chunks() / cfg.nodes;
-  for (int chunk = 0; chunk < cfg.num_chunks(); ++chunk) {
-    int node = chunk / cpn;
-    uint64_t offset =
-        static_cast<uint64_t>(chunk % cpn) * cfg.points_per_chunk * 32;
-    index::ChunkBounds b;
-    for (int a = 0; a < 3; ++a) {
-      double lo, hi;
-      dataset::titan_chunk_bounds(cfg, chunk, a, &lo, &hi);
-      b.bounds.push_back({lo, hi});
-    }
-    idx.add({"/data/node" + std::to_string(node) + "/titan/CHUNKS", offset},
-            b);
-  }
+  TempDir tmp("reftitan");
+  auto gen = dataset::generate_titan(cfg, tmp.str());
+  codegen::DataServicePlan plan = codegen::DataServicePlan::from_text(
+      gen.descriptor_text, gen.dataset_name, gen.root);
+  const DatasetModel& model = plan.model();
+  // The spatial chunk index over X, Y, Z.
+  zonemap::ZoneMap idx =
+      zonemap::ZoneMap::build(plan, nullptr, {.attrs = {0, 1, 2}});
+  ASSERT_EQ(idx.num_chunks(), static_cast<std::size_t>(cfg.num_chunks()));
 
   for (const char* sql : {
            "SELECT * FROM TitanData",

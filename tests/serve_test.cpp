@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -103,8 +104,8 @@ TEST(DataVersionTest, SidecarRebuildChangesVersion) {
 
   DataVersion absent = DataVersion::compute(*f.plan, dir);
   DataVersion plain = DataVersion::compute(*f.plan);
-  // The sidecar-aware version folds in the (absent) sidecar triplet; the
-  // plain one ignores it.
+  // The sidecar-aware version folds in the (absent) sidecar; the plain one
+  // ignores it.
   EXPECT_NE(absent.hex(), plain.hex());
 
   zonemap::ZoneMap zm = zonemap::ZoneMap::build(*f.plan);
@@ -116,7 +117,11 @@ TEST(DataVersionTest, SidecarRebuildChangesVersion) {
   // Rebuilding in place (same sizes possible, new mtimes) moves it again…
   std::this_thread::sleep_for(10ms);
   zm.save(dir, *f.plan);
-  EXPECT_NE(DataVersion::compute(*f.plan, dir).hex(), built.hex());
+  DataVersion rebuilt = DataVersion::compute(*f.plan, dir);
+  EXPECT_NE(rebuilt.hex(), built.hex());
+  // …and deleting the sidecar brings back the absent version.
+  std::filesystem::remove(zonemap::ZoneMap::sidecar_path(dir, "IparsData"));
+  EXPECT_EQ(DataVersion::compute(*f.plan, dir).hex(), absent.hex());
   // …while the sidecar-blind version never noticed any of this.
   EXPECT_EQ(DataVersion::compute(*f.plan).hex(), plain.hex());
 }

@@ -11,7 +11,7 @@
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
 #include "dataset/titan.h"
-#include "index/minmax.h"
+#include "zonemap/zonemap.h"
 #include "storm/cluster.h"
 
 namespace adv::storm {
@@ -203,7 +203,8 @@ TEST(StormClusterTest, WorksWithSpatialIndexFilter) {
   auto plan = std::make_shared<codegen::DataServicePlan>(
       meta::parse_descriptor(gen.descriptor_text), gen.dataset_name,
       gen.root);
-  index::MinMaxIndex idx = index::MinMaxIndex::build(*plan);
+  zonemap::ZoneMap idx = zonemap::ZoneMap::build(
+      *plan, nullptr, {.attrs = zonemap::ZoneMap::dataindex_attrs(*plan)});
 
   StormCluster cluster(plan);
   const char* sql =

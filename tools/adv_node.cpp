@@ -8,7 +8,7 @@
 //
 // Usage:
 //   adv_node <descriptor> <dataset> --root DIR --node N [--port P]
-//            [--index FILE] [--heartbeat-ms M] [--checkpoint-afcs K]
+//            [--index DIR] [--heartbeat-ms M] [--checkpoint-afcs K]
 //            [--stall-after N --stall-seconds S]
 //
 // On success prints exactly one line to stdout:
@@ -39,10 +39,10 @@
 
 #include "common/io.h"
 #include "common/string_util.h"
-#include "index/minmax.h"
 #include "metadata/model.h"
 #include "metadata/xml.h"
 #include "storm/node_daemon.h"
+#include "zonemap/zonemap.h"
 
 using namespace adv;
 
@@ -53,7 +53,7 @@ namespace {
   std::fprintf(stderr,
                "adv_node — serve one storage node's shard as a daemon\n\n"
                "usage: adv_node <descriptor> <dataset> --root DIR --node N\n"
-               "                [--port P] [--index FILE] [--heartbeat-ms M]\n"
+               "                [--port P] [--index DIR] [--heartbeat-ms M]\n"
                "                [--checkpoint-afcs K]\n"
                "                [--stall-after N --stall-seconds S]\n");
   std::exit(2);
@@ -108,8 +108,10 @@ int main(int argc, char** argv) {
     auto plan = std::make_shared<codegen::DataServicePlan>(
         std::move(desc), a.positional[1], a.flag("root", "."));
 
-    std::optional<index::MinMaxIndex> idx;
-    if (a.has("index")) idx = index::MinMaxIndex::load(a.flag("index"));
+    // The zone-map sidecar under --index DIR; one that does not load only
+    // costs pruning.
+    std::optional<zonemap::ZoneMap> idx;
+    if (a.has("index")) idx = zonemap::ZoneMap::load(a.flag("index"), *plan);
 
     storm::NodeDaemonOptions opts;
     opts.node_id = a.flag_int("node", 0);

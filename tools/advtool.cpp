@@ -1,18 +1,20 @@
 // advtool — command-line front end for the advirt data-virtualization
 // toolkit.  This is the repository administrator's interface the paper
 // describes: write a meta-data descriptor for an existing flat-file
-// dataset, validate it against the files, build the chunk index, serve SQL
-// queries, and emit the standalone generated C++ services.
+// dataset, validate it against the files, build and audit the zone-map
+// chunk index, serve SQL queries, and emit the standalone generated C++
+// services.
 //
 // Usage:
 //   advtool parse    <descriptor>
 //   advtool info     <descriptor> <dataset> [--root DIR]
 //   advtool verify   <descriptor> <dataset> --root DIR
 //   advtool generate ipars|titan --out DIR [options]
-//   advtool index    <descriptor> <dataset> --root DIR --out FILE
-//   advtool query    <descriptor> <dataset> --root DIR [--index FILE]
+//   advtool index    build|inspect|check <descriptor> <dataset> --root DIR
+//            [--dir DIR] [--threads N] [--io mmap|pread] [--limit N]
+//   advtool query    <descriptor> <dataset> --root DIR [--index DIR]
 //            [--partition N] [--csv N] "SELECT ..."
-//   advtool emit     <descriptor> <dataset> [--index FILE] [--out FILE]
+//   advtool emit     <descriptor> <dataset> [--index DIR] [--out FILE]
 #include <cstdio>
 #include <chrono>
 #include <cstring>
@@ -27,6 +29,7 @@
 #include "common/io.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "dataset/ipars.h"
 #include "dataset/titan.h"
 #include "metadata/xml.h"
@@ -51,14 +54,21 @@ commands:
   generate titan --out DIR [--nodes N] [--cells-x N] [--cells-y N]
            [--cells-z N] [--points P]
       Write a synthetic dataset and its descriptor (descriptor.adv).
-  index <descriptor> <dataset> --root DIR --out FILE
-      Build the min/max chunk index over the DATAINDEX attributes.
-  query <descriptor> <dataset> --root DIR [--index FILE] [--partition N]
+  index build <descriptor> <dataset> --root DIR [--dir DIR] [--threads N]
+        [--io mmap|pread]
+      Scan every chunk once and write the zone-map sidecar
+      (<dataset>.zm) under --dir (default: --root).
+  index inspect <descriptor> <dataset> --root DIR [--dir DIR] [--limit N]
+      Load the sidecar; report coverage, staleness, and sample bounds.
+  index check <descriptor> <dataset> --root DIR [--dir DIR]
+      Exit 0 when the sidecar loads and is fully fresh, 1 otherwise.
+  query <descriptor> <dataset> --root DIR [--index DIR] [--partition N]
         [--csv N] "SELECT ..."
       Execute a query on the virtual cluster; print stats and sample rows.
-  emit <descriptor> <dataset> [--index FILE] [--out FILE]
+      --index DIR prunes chunks with the zone-map sidecar under DIR.
+  emit <descriptor> <dataset> [--index DIR] [--out FILE]
       Emit the standalone generated C++ index/extraction functions.
-  serve <descriptor> <dataset> --root DIR [--port P] [--index FILE]
+  serve <descriptor> <dataset> --root DIR [--port P] [--index DIR]
       Run the STORM query service on TCP; clients use `query --host`.
   query ... [--host H --port P]
       With --host, submit the query to a running server instead of
@@ -112,6 +122,18 @@ codegen::DataServicePlan make_plan(const Args& a) {
     usage("expected <descriptor-file> <dataset-name>");
   return codegen::DataServicePlan(load_descriptor(a.positional[0]),
                                   a.positional[1], a.flag("root", "."));
+}
+
+// The zone-map sidecar named by --index DIR, if any.  A sidecar that does
+// not load only costs pruning: the query then scans in full.
+std::optional<zonemap::ZoneMap> load_index(
+    const Args& a, const codegen::DataServicePlan& plan) {
+  if (!a.has("index")) return std::nullopt;
+  auto zm = zonemap::ZoneMap::load(a.flag("index"), plan);
+  if (!zm)
+    std::fprintf(stderr, "note: no loadable zone-map sidecar under %s; "
+                 "scanning in full\n", a.flag("index").c_str());
+  return zm;
 }
 
 int cmd_parse(const Args& a) {
@@ -218,17 +240,88 @@ int cmd_generate(const Args& a) {
   usage("unknown dataset kind");
 }
 
-int cmd_index(const Args& a) {
+// `index build|inspect|check`: the zone-map sidecar under --dir (default
+// --root).  `check` is a monitoring probe: exit 1 when the sidecar is
+// missing, corrupt, or any of its data files changed since the build.
+int cmd_index(Args a) {
+  if (a.positional.empty()) usage("expected index build|inspect|check");
+  const std::string sub = a.positional.front();
+  if (sub != "build" && sub != "inspect" && sub != "check")
+    usage(("unknown index command '" + sub + "'").c_str());
+  a.positional.erase(a.positional.begin());
   codegen::DataServicePlan plan = make_plan(a);
-  std::string out = a.flag("out");
-  if (out.empty()) usage("--out FILE is required");
-  Stopwatch sw;
-  index::MinMaxIndex idx = index::MinMaxIndex::build(plan);
-  idx.save(out);
-  std::printf("indexed %zu chunks on %zu attribute(s) in %.2f s -> %s "
-              "(%s)\n",
-              idx.num_chunks(), idx.attrs().size(), sw.elapsed_seconds(),
-              out.c_str(), human_bytes(file_size(out)).c_str());
+  const std::string dir = a.flag("dir", a.flag("root", "."));
+
+  if (sub == "build") {
+    zonemap::ZoneMap::BuildOptions opts;
+    std::string io = a.flag("io");
+    if (io == "mmap") opts.io_mode = IoMode::kMmap;
+    else if (io == "pread") opts.io_mode = IoMode::kPread;
+    else if (!io.empty()) usage("--io must be mmap or pread");
+    int threads = a.flag_int("threads", 0);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1)
+      pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
+    zonemap::ZoneMap zm = zonemap::ZoneMap::build(plan, pool.get(), opts);
+    zm.save(dir, plan);
+    std::string path =
+        zonemap::ZoneMap::sidecar_path(dir, plan.model().dataset_name());
+    std::printf("indexed %zu chunks x %zu attribute(s) over %llu file(s) in "
+                "%.2f s -> %s (%s)\n",
+                zm.num_chunks(), zm.attrs().size(),
+                static_cast<unsigned long long>(zm.num_files()),
+                zm.build_seconds(), path.c_str(),
+                human_bytes(file_size(path)).c_str());
+    return 0;
+  }
+
+  auto zm = zonemap::ZoneMap::load(dir, plan);
+  if (!zm) {
+    std::printf("STALE: no loadable zone-map sidecar for dataset %s under "
+                "%s\n",
+                plan.model().dataset_name().c_str(), dir.c_str());
+    return 1;
+  }
+  if (sub == "check") {
+    if (zm->num_stale_files() > 0) {
+      std::printf("STALE: %llu of %llu files changed since the build\n",
+                  static_cast<unsigned long long>(zm->num_stale_files()),
+                  static_cast<unsigned long long>(zm->num_files()));
+      return 1;
+    }
+    std::printf("OK: %zu chunks over %llu files, all fresh\n",
+                zm->num_chunks(),
+                static_cast<unsigned long long>(zm->num_files()));
+    return 0;
+  }
+
+  const meta::Schema& schema = plan.schema();
+  std::printf("dataset:    %s\n", plan.model().dataset_name().c_str());
+  std::printf("attributes:");
+  for (int attr : zm->attrs())
+    std::printf(" %s", schema.at(static_cast<std::size_t>(attr)).name.c_str());
+  std::printf("\n");
+  std::printf("files:      %llu indexed, %llu stale (dropped)\n",
+              static_cast<unsigned long long>(zm->num_files()),
+              static_cast<unsigned long long>(zm->num_stale_files()));
+  std::printf("chunks:     %zu live entries, %zu bounds rows\n",
+              zm->num_chunks(), zm->num_rows());
+  const std::size_t limit = static_cast<std::size_t>(a.flag_int("limit", 5));
+  std::size_t shown = 0;
+  zm->for_each_chunk([&](const std::string& file, uint64_t offset,
+                         const double* b) {
+    if (shown++ >= limit) return;
+    std::printf("  %s @%llu:", file.c_str(),
+                static_cast<unsigned long long>(offset));
+    for (std::size_t i = 0; i < zm->attrs().size(); ++i)
+      std::printf(" %s=[%g, %g]",
+                  schema.at(static_cast<std::size_t>(zm->attrs()[i]))
+                      .name.c_str(),
+                  b[2 * i], b[2 * i + 1]);
+    std::printf("\n");
+  });
+  if (zm->num_chunks() > limit)
+    std::printf("  ... (%zu more)\n", zm->num_chunks() - limit);
   return 0;
 }
 
@@ -236,8 +329,8 @@ int cmd_serve(const Args& a) {
   auto plan = std::make_shared<codegen::DataServicePlan>(
       load_descriptor(a.positional.at(0)), a.positional.at(1),
       a.flag("root", "."));
-  static std::optional<index::MinMaxIndex> idx;
-  if (a.has("index")) idx = index::MinMaxIndex::load(a.flag("index"));
+  static std::optional<zonemap::ZoneMap> idx;
+  idx = load_index(a, *plan);
   storm::QueryServer server(plan, {}, a.flag_int("port", 0),
                             idx ? &*idx : nullptr);
   std::printf("serving dataset %s on 127.0.0.1:%d  (Ctrl-C to stop)\n",
@@ -279,8 +372,7 @@ int cmd_query(const Args& a) {
       load_descriptor(a.positional[0]),
       a.positional[1], a.flag("root", "."));
 
-  std::optional<index::MinMaxIndex> idx;
-  if (a.has("index")) idx = index::MinMaxIndex::load(a.flag("index"));
+  std::optional<zonemap::ZoneMap> idx = load_index(a, *plan);
 
   storm::StormCluster cluster(plan);
   storm::PartitionSpec part;
@@ -319,8 +411,7 @@ int cmd_query(const Args& a) {
 
 int cmd_emit(const Args& a) {
   codegen::DataServicePlan plan = make_plan(a);
-  std::optional<index::MinMaxIndex> idx;
-  if (a.has("index")) idx = index::MinMaxIndex::load(a.flag("index"));
+  std::optional<zonemap::ZoneMap> idx = load_index(a, plan);
   std::string src = codegen::emit_cpp(plan.model(), idx ? &*idx : nullptr);
   std::string out = a.flag("out");
   if (out.empty()) {
