@@ -143,8 +143,8 @@ std::size_t bench_threads() {
 }
 
 // The four legacy names stay pinned to the interpreter so their committed
-// baselines keep meaning across the kernel-engine change; the vector and
-// jit tiers get their own entries.  Every par-* config has a seq-* twin —
+// baselines keep meaning across the kernel-engine change; the vector tier
+// gets its own entries.  Every par-* config has a seq-* twin —
 // scripts/bench_check.sh gates on the pairing (parallel must not lose to
 // sequential).
 std::vector<ScanConfig> scan_configs() {
@@ -159,8 +159,6 @@ std::vector<ScanConfig> scan_configs() {
       {"par-pread-vector", bench_threads(), IoMode::kPread,
        KernelMode::kVector},
       {"par-mmap-vector", bench_threads(), IoMode::kMmap, KernelMode::kVector},
-      {"seq-mmap-jit", 1, IoMode::kMmap, KernelMode::kJit},
-      {"par-mmap-jit", bench_threads(), IoMode::kMmap, KernelMode::kJit},
   };
 }
 
@@ -451,7 +449,7 @@ void run_plan_cache(const dataset::GeneratedIpars& gen,
 // inside the extraction workers, with only aggregate state crossing the
 // node boundary.  One query per adaptive strategy — dense (loop-attr key),
 // radix (high-cardinality payload key), grouped top-k, and the plain
-// bounded-heap top-k — each across sequential/parallel and kernel tiers.
+// bounded-heap top-k — each across sequential/parallel and both kernel loops.
 // bytes_shipped is what actually crossed the node boundary; ship_reduction
 // compares it against the row bytes a scan-then-aggregate-client would
 // have shipped for the same matched rows.
@@ -485,7 +483,6 @@ void run_agg_pushdown(const dataset::GeneratedIpars& gen,
       {"par-mmap", bench_threads(), IoMode::kMmap, KernelMode::kInterp},
       {"par-mmap-vector", bench_threads(), IoMode::kMmap,
        KernelMode::kVector},
-      {"par-mmap-jit", bench_threads(), IoMode::kMmap, KernelMode::kJit},
   };
 
   bench::ResultTable table({"query", "config", "threads", "wall (s)",

@@ -3,16 +3,14 @@
 # the admission scheduler / query server.
 #
 #   1. default build + full ctest suite (all tiers: fast, slow, fuzz,
-#      fault, dist — dist spawns real adv_node daemons and kill -9s them),
-#      then the fast tier repeated under ADV_KERNEL_MODE=interp
-#      and =jit so every extraction kernel tier passes the same tests
+#      fault, dist — dist spawns real adv_node daemons and kill -9s them)
 #   2. bounded fuzz + fault smoke with FIXED seeds (deterministic, a few
 #      seconds): the differential harness and the property suites invoked
 #      directly so the ADV_FUZZ_* overrides apply (see docs/TESTING.md),
-#      including jit- and interp-tier differential runs, the jit.compile
-#      and agg.merge fault campaigns, and the scatter/gather dist backend
-#      (clean, under the node-death campaign, and under the
-#      partial-aggregate-merge campaign)
+#      including interp-loop differential runs (in-process and through
+#      the dist daemons), the agg.merge fault campaign, and the
+#      scatter/gather dist backend (clean, under the node-death campaign,
+#      and under the partial-aggregate-merge campaign)
 #   3. serving-layer smoke: tools/adv_load closed loop with two
 #      equal-weight tenants gating fair-share deviation and result-cache
 #      hits
@@ -42,16 +40,6 @@ cmake -B build -S . >/dev/null
 cmake --build build -j"$JOBS"
 (cd build && ctest --output-on-failure -j"$JOBS")
 
-# The full suite above runs under the default kernel tier (vector); the
-# fast tier repeats under the other two so every extraction path keeps
-# passing the same tests (docs/KERNELS.md).  The jit pass exercises real
-# compile+dlopen on hosts with a compiler and the vector fallback on
-# hosts without one — both are supported configurations.
-for mode in interp jit; do
-  (cd build && ADV_KERNEL_MODE="$mode" ctest -L fast --output-on-failure \
-    -j"$JOBS")
-done
-
 # Bounded fuzz + fault smoke, fixed seeds so a failure here is always
 # reproducible with the printed replay command.
 ADV_FUZZ_SEED=97 ./build/tests/property_test >/dev/null
@@ -60,12 +48,12 @@ ADV_FUZZ_SEED=97 ./build/tests/interval_fuzz_test >/dev/null
 ./build/tools/adv_fuzz --seed 101 --campaign io >/dev/null
 ./build/tools/adv_fuzz --seed 101 --campaign net --server >/dev/null
 ./build/tools/adv_fuzz --seed 101 --campaign node --partial >/dev/null
-./build/tools/adv_fuzz --seed 101 --seeds 3 --kernel jit >/dev/null
-./build/tools/adv_fuzz --seed 101 --campaign jit --kernel jit >/dev/null
-# Aggregation pushdown: the corpus includes GROUP BY/aggregate/top-k
-# shapes, so the interp run covers the fold under a second kernel tier
-# and the agg campaign injects faults into the partial-aggregate merge.
+# The interp reference loop, in-process and inside the dist daemons
+# (daemon-side kernel dispatch).  The corpus includes GROUP BY/aggregate/
+# top-k shapes, so these runs also cover the fold under the second loop;
+# the agg campaign injects faults into the partial-aggregate merge.
 ./build/tools/adv_fuzz --seed 101 --seeds 3 --kernel interp >/dev/null
+./build/tools/adv_fuzz --seed 101 --seeds 2 --dist --kernel interp >/dev/null
 ./build/tools/adv_fuzz --seed 101 --campaign agg >/dev/null
 # Distribution backend: every query also scattered through per-node
 # daemons behind a DistCoordinator; the node campaign exercises the
@@ -78,11 +66,8 @@ echo "fuzz/fault smoke OK"
 
 # Multi-process distribution smoke: the dist label spawns real adv_node
 # processes, kill -9s primaries mid-stream (fixed commit-point triggers),
-# and demands byte-identical rows via replica failover.  Repeated under
-# the interp tier so daemon-side kernel dispatch is covered too.
+# and demands byte-identical rows via replica failover.
 (cd build && ctest -L dist --output-on-failure -j"$JOBS")
-(cd build && ADV_KERNEL_MODE=interp ctest -L dist --output-on-failure \
-  -j"$JOBS")
 echo "dist chaos smoke OK"
 
 # Serving-layer smoke: the closed-loop load generator against a selfhosted
@@ -111,8 +96,7 @@ if [[ "${VERIFY_SKIP_TSAN:-0}" != "1" ]]; then
   # Serving layer: result-cache single-flight (leader/follower latch),
   # LRU under concurrent inserts, and the tenant-quota client burst.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/serve_test
-  # The kernel tiers share arenas/caches across extraction workers; the
-  # JIT cache in particular serializes concurrent compiles on one lock.
+  # The kernel loops run per-worker arenas over shared file mappings.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/kernels_test
   # Aggregation pushdown: per-worker sinks folding concurrently, then
   # the two-phase merge across worker and node boundaries.
@@ -129,7 +113,7 @@ fi
 
 if [[ "${VERIFY_SKIP_ASAN:-0}" != "1" ]]; then
   # Heap errors and UB (overflow, misaligned loads, bad shifts) across the
-  # whole fast tier: layout families, the three kernel tiers, metadata
+  # whole fast tier: layout families, both kernel loops, metadata
   # parsing, and the cross-dataset join path.  -fno-sanitize-recover=all
   # in the preset turns any UBSan diagnostic into a test failure.
   cmake --preset asan >/dev/null

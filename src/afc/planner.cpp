@@ -33,7 +33,13 @@ SourcePlan choose_sources(const DatasetModel& model,
   SourcePlan sp;
   const auto& leaves = model.leaves();
 
-  for (int attr : q.needed_attrs()) {
+  // A query that references no attribute (SELECT COUNT(*)) counts the rows
+  // of SELECT *, so it is planned from the sources SELECT * would use.
+  std::vector<int> attrs = q.needed_attrs();
+  if (attrs.empty())
+    for (std::size_t a = 0; a < model.schema().size(); ++a)
+      attrs.push_back(static_cast<int>(a));
+  for (int attr : attrs) {
     const std::string& name =
         model.schema().at(static_cast<std::size_t>(attr)).name;
     AttrSource src;

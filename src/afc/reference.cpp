@@ -23,7 +23,12 @@ Participation choose_participation(const DatasetModel& model,
                                    const expr::BoundQuery& q) {
   Participation out;
   std::map<int, std::set<int>> regions;
-  for (int attr : q.needed_attrs()) {
+  // No attribute referenced (SELECT COUNT(*)): participate as SELECT *.
+  std::vector<int> attrs = q.needed_attrs();
+  if (attrs.empty())
+    for (std::size_t a = 0; a < model.schema().size(); ++a)
+      attrs.push_back(static_cast<int>(a));
+  for (int attr : attrs) {
     const std::string& name =
         model.schema().at(static_cast<std::size_t>(attr)).name;
     bool found = false;

@@ -284,7 +284,10 @@ ItemState* GroupTable::find_or_insert(const double* keys) {
       states_.resize(states_.size() + nitems_);
       return states_.data() + (ngroups_++) * nitems_;
     }
-    if (std::memcmp(key(slot - 1), keys, nkeys_ * sizeof(double)) == 0)
+    // A global aggregate has no key bytes, and its empty key store has no
+    // storage, which memcmp may not be handed even for length 0.
+    if (nkeys_ == 0 ||
+        std::memcmp(key(slot - 1), keys, nkeys_ * sizeof(double)) == 0)
       return states_.data() + (slot - 1) * nitems_;
     i = (i + 1) & mask;
   }

@@ -1,6 +1,5 @@
 #include "api/virtual_table.h"
 
-#include "codegen/emit.h"
 #include "common/string_util.h"
 #include "metadata/xml.h"
 #include "sql/ast.h"
@@ -61,7 +60,6 @@ VirtualTable VirtualTable::open(const std::string& descriptor_text,
     vt.plan_cache_ =
         std::make_shared<PlanCache>(options.plan_cache_capacity);
   vt.partial_results_ = options.partial_results;
-  vt.kernel_mode_ = resolve_kernel_mode(options.cluster.kernel_mode);
   return vt;
 }
 
@@ -97,26 +95,11 @@ storm::QueryResult VirtualTable::query_detailed(
       auto fresh = std::make_shared<CachedPlan>(plan_->bind(sql));
       fresh->node_plans =
           cluster_->plan_nodes(fresh->query, chunk_filter());
-      // In jit mode, compile once on the miss and cache the modules with
-      // the plan: warm hits skip emit + compile + dlopen entirely.  A
-      // failed compile caches null entries, so run_node falls back to the
-      // vector tier without retrying the compiler per query.
-      if (kernel_mode_ == KernelMode::kJit &&
-          codegen::can_jit_query(fresh->query)) {
-        fresh->jit_modules.reserve(fresh->node_plans.size());
-        for (const auto& pr : fresh->node_plans)
-          fresh->jit_modules.push_back(
-              pr.groups.empty()
-                  ? nullptr
-                  : kernels::JitCache::instance().get_or_compile(
-                        codegen::emit_extract_cpp(pr, fresh->query)));
-      }
       plan_cache_->insert(key, fresh);
       entry = std::move(fresh);
     }
-    r = cluster_->execute_planned(
-        entry->query, entry->node_plans, partition, cancel,
-        entry->jit_modules.empty() ? nullptr : &entry->jit_modules);
+    r = cluster_->execute_planned(entry->query, entry->node_plans, partition,
+                                  cancel);
   } else {
     r = cluster_->execute(sql, partition, chunk_filter(), cancel);
   }

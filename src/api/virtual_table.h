@@ -114,9 +114,6 @@ class VirtualTable {
   std::shared_ptr<PlanCache> plan_cache_;
   uint64_t descriptor_hash_ = 0;
   bool partial_results_ = false;
-  // Resolved at open from Options::cluster.kernel_mode; jit makes the plan
-  // cache precompile one module per node on the miss path.
-  KernelMode kernel_mode_ = KernelMode::kVector;
 };
 
 }  // namespace adv

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "afc/planner.h"
-#include "codegen/extractor.h"
 #include "common/error.h"
 #include "common/string_util.h"
 #include "sql/ast.h"
@@ -12,8 +11,7 @@ namespace adv::codegen {
 
 namespace {
 
-// Field loaders shared by both emitted backends (the standalone scanner and
-// the per-plan jit kernels).
+// Field loaders of the emitted scanner.
 constexpr const char* kLoadHelpers = R"(
 inline double adv_ld_i8(const unsigned char* p) {
   signed char v; std::memcpy(&v, p, 1); return (double)v;
@@ -410,187 +408,6 @@ std::string emit_cpp(const afc::DatasetModel& model,
      << "    if (r < 0) return r;\n"
      << "    delivered += r;\n"
      << "  }\n  return delivered;\n}\n";
-  return os.str();
-}
-
-namespace {
-
-bool scalar_has_call(const expr::CompiledScalar& s) {
-  if (s.kind == expr::CompiledScalar::Kind::kCall) return true;
-  for (const auto& a : s.args)
-    if (scalar_has_call(a)) return true;
-  return false;
-}
-
-bool bool_has_call(const expr::CompiledBool& p) {
-  if (p.kind == expr::CompiledBool::Kind::kCmp)
-    return scalar_has_call(p.lhs) || scalar_has_call(p.rhs);
-  for (const auto& k : p.kids)
-    if (bool_has_call(k)) return true;
-  return false;
-}
-
-// Hexfloat literal: round-trips any double exactly (valid C++17 syntax).
-std::string dlit(double v) {
-  std::ostringstream s;
-  s << std::hexfloat << v;
-  return s.str();
-}
-
-void emit_scalar_expr(std::ostringstream& os, const expr::CompiledScalar& s) {
-  using K = expr::CompiledScalar::Kind;
-  switch (s.kind) {
-    case K::kConst:
-      os << dlit(s.cval);
-      return;
-    case K::kSlot:
-      os << 's' << s.slot;
-      return;
-    case K::kArith:
-      os << '(';
-      emit_scalar_expr(os, s.args[0]);
-      os << ' ' << s.op << ' ';
-      emit_scalar_expr(os, s.args[1]);
-      os << ')';
-      return;
-    case K::kCall:
-      throw InternalError("emit_extract_cpp: UDF call in jittable predicate");
-  }
-}
-
-void emit_bool_expr(std::ostringstream& os, const expr::CompiledBool& p) {
-  using K = expr::CompiledBool::Kind;
-  switch (p.kind) {
-    case K::kTrue:
-      os << "true";
-      return;
-    case K::kCmp: {
-      const char* op = "<";
-      switch (p.cmp) {
-        case sql::CmpOp::kLt: op = "<"; break;
-        case sql::CmpOp::kLe: op = "<="; break;
-        case sql::CmpOp::kGt: op = ">"; break;
-        case sql::CmpOp::kGe: op = ">="; break;
-        case sql::CmpOp::kEq: op = "=="; break;
-        case sql::CmpOp::kNe: op = "!="; break;
-      }
-      os << '(';
-      emit_scalar_expr(os, p.lhs);
-      os << ' ' << op << ' ';
-      emit_scalar_expr(os, p.rhs);
-      os << ')';
-      return;
-    }
-    case K::kIn: {
-      if (p.in_set.empty()) {
-        os << "false";
-        return;
-      }
-      os << '(';
-      for (std::size_t i = 0; i < p.in_set.size(); ++i) {
-        if (i) os << " || ";
-        os << 's' << p.slot << " == " << dlit(p.in_set[i]);
-      }
-      os << ')';
-      return;
-    }
-    case K::kAnd:
-    case K::kOr: {
-      const char* op = p.kind == K::kAnd ? " && " : " || ";
-      os << '(';
-      for (std::size_t i = 0; i < p.kids.size(); ++i) {
-        if (i) os << op;
-        emit_bool_expr(os, p.kids[i]);
-      }
-      os << ')';
-      return;
-    }
-    case K::kNot:
-      os << "(!";
-      emit_bool_expr(os, p.kids[0]);
-      os << ')';
-      return;
-  }
-}
-
-void emit_extract_group(std::ostringstream& os, const afc::GroupPlan& gp,
-                        const expr::BoundQuery& q, std::size_t gid) {
-  GroupBinding b = bind_group(gp, q, q.schema());
-  const auto& select_slots = q.select_slots();
-  const std::size_t ncols = select_slots.size();
-
-  os << "extern \"C\" long long advjit_g" << gid
-     << "(const unsigned char* const* srcs, unsigned long long nrows,\n"
-     << "    const long long* loops, long long row_first, double* out, "
-     << "unsigned int* sel) {\n"
-     << "  (void)srcs; (void)loops; (void)row_first;\n";
-  // Per-AFC constants fold to literals / loop-value reads once per call.
-  for (const auto& [s, v] : b.const_fills)
-    os << "  const double s" << s << " = " << dlit(v) << ";\n";
-  for (const auto& [s, k] : b.loop_fills)
-    os << "  const double s" << s << " = (double)loops[" << k << "];\n";
-  os << "  long long m = 0;\n"
-     << "  for (unsigned long long r = 0; r < nrows; ++r) {\n";
-  if (b.row_slot >= 0)
-    os << "    const double s" << b.row_slot
-       << " = (double)(row_first + (long long)r * " << gp.row_range.step
-       << "LL);\n";
-  for (const auto& f : b.pred_fetches)
-    os << "    const double s" << f.slot << " = " << load_fn(f.type)
-       << "(srcs[" << f.chunk << "] + r * " << f.bpr << "ULL + " << f.intra
-       << "ULL);\n";
-  if (q.has_predicate()) {
-    os << "    if (!";
-    emit_bool_expr(os, q.predicate());
-    os << ") continue;\n";
-  }
-  for (const auto& f : b.post_fetches)
-    os << "    const double s" << f.slot << " = " << load_fn(f.type)
-       << "(srcs[" << f.chunk << "] + r * " << f.bpr << "ULL + " << f.intra
-       << "ULL);\n";
-  for (std::size_t i = 0; i < ncols; ++i)
-    os << "    out[m * " << ncols << " + " << i << "] = s" << select_slots[i]
-       << ";\n";
-  os << "    sel[m] = (unsigned int)r;\n"
-     << "    ++m;\n"
-     << "  }\n"
-     << "  return m;\n"
-     << "}\n\n";
-}
-
-}  // namespace
-
-bool can_jit_query(const expr::BoundQuery& q) {
-  return !bool_has_call(q.predicate());
-}
-
-std::string emit_extract_cpp(const afc::PlanResult& pr,
-                             const expr::BoundQuery& q) {
-  check_internal(can_jit_query(q),
-                 "emit_extract_cpp called for a non-jittable query");
-  std::ostringstream os;
-  // The ABI marker participates in the source hash, so an ABI revision
-  // invalidates every stale on-disk module.
-  os << "// advjit-abi-v1\n"
-     << "// Generated per-plan extract kernels (codegen/emit.cpp). Do not "
-     << "edit.\n"
-     << "#include <cstring>\n\n"
-     << "namespace {\n"
-     << kLoadHelpers
-     << "}  // namespace\n\n";
-  for (std::size_t g = 0; g < pr.groups.size(); ++g)
-    emit_extract_group(os, pr.groups[g], q, g);
-
-  os << "extern \"C\" int advjit_num_groups(void) { return "
-     << pr.groups.size() << "; }\n\n"
-     << "typedef long long (*advjit_fn_t)(const unsigned char* const*, "
-     << "unsigned long long,\n    const long long*, long long, double*, "
-     << "unsigned int*);\n"
-     << "extern \"C\" advjit_fn_t advjit_group_fn(int g) {\n"
-     << "  switch (g) {\n";
-  for (std::size_t g = 0; g < pr.groups.size(); ++g)
-    os << "    case " << g << ": return advjit_g" << g << ";\n";
-  os << "  }\n  return 0;\n}\n";
   return os.str();
 }
 

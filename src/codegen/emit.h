@@ -49,19 +49,4 @@ namespace adv::codegen {
 std::string emit_cpp(const afc::DatasetModel& model,
                      const afc::ChunkBoundsSource* bounds = nullptr);
 
-// True when the query's predicate can be compiled into a standalone
-// translation unit: no UDF calls (opaque host function pointers cannot
-// cross the dlopen boundary; such queries run on the vector tier).
-bool can_jit_query(const expr::BoundQuery& q);
-
-// Emits the per-plan extract+filter translation unit for the jit kernel
-// tier (ABI in src/kernels/jit.h): one `advjit_g<g>` function per group of
-// `pr` with chunk offsets and strides hard-coded, implicit-attribute
-// constants folded to literals (hexfloat, so values round-trip exactly),
-// and the predicate inlined as a plain C++ expression.  The source embeds
-// no file paths, so two plans with identical layouts and SQL share one
-// compiled module via the source-hash cache key.
-std::string emit_extract_cpp(const afc::PlanResult& pr,
-                             const expr::BoundQuery& q);
-
 }  // namespace adv::codegen

@@ -8,7 +8,7 @@ namespace adv::codegen {
 
 namespace {
 
-// Vector/jit batch cap in rows: the columnar working set (a few decoded
+// Vector batch cap in rows: the columnar working set (a few decoded
 // columns plus the row-major output block) stays inside L2 while still
 // amortizing the per-batch setup.
 constexpr uint64_t kKernelBatchRows = 4096;
@@ -153,16 +153,11 @@ ExtractStats Extractor::extract(const afc::GroupPlan& gp, const afc::Afc& a,
 
   const std::vector<const FileHandle*>& handles = group_handles(gp);
 
-  // Effective tier for this AFC: jit needs a bound function for the group,
-  // otherwise it degrades to vector (same results, no specialization).
-  KernelMode mode = kernel_mode_;
-  if (mode == KernelMode::kJit && binding.jit_fn == nullptr)
-    mode = KernelMode::kVector;
-  switch (mode) {
-    case KernelMode::kInterp: ++stats.afcs_interp; break;
-    case KernelMode::kJit: ++stats.afcs_jit; break;
-    default: mode = KernelMode::kVector; ++stats.afcs_vector; break;
-  }
+  const bool interp = kernel_mode_ == KernelMode::kInterp;
+  if (interp)
+    ++stats.afcs_interp;
+  else
+    ++stats.afcs_vector;
 
   // Mapped chunks decode in place; only unmapped ones need buffered
   // batching.  When every chunk is mapped the whole AFC is one batch.
@@ -185,11 +180,11 @@ ExtractStats Extractor::extract(const afc::GroupPlan& gp, const afc::Afc& a,
   // bounded row granularity even when a fully-mapped AFC would otherwise
   // decode in one pass.
   if (cancel_) batch_rows = std::min<uint64_t>(batch_rows, 1 << 16);
-  // The columnar tiers work in cache-sized batches regardless of mapping.
-  if (mode != KernelMode::kInterp)
+  // The vector tier works in cache-sized batches regardless of mapping.
+  if (!interp)
     batch_rows = std::min(batch_rows, kKernelBatchRows);
 
-  if (mode == KernelMode::kInterp) {
+  if (interp) {
     // Row buffer: one double per needed slot (scratch reused across AFCs;
     // every slot has exactly one source, so no zero-fill is needed).
     row_.resize(binding.slots.size());
@@ -228,17 +223,10 @@ ExtractStats Extractor::extract(const afc::GroupPlan& gp, const afc::Afc& a,
       }
       stats.bytes_read += bytes;
     }
-    switch (mode) {
-      case KernelMode::kInterp:
-        run_interp(gp, a, binding, q, sink, srcs, done, n, stats);
-        break;
-      case KernelMode::kJit:
-        run_jit(gp, a, binding, q, sink, srcs, done, n, stats);
-        break;
-      default:
-        run_vector(gp, a, binding, q, sink, srcs, done, n, stats);
-        break;
-    }
+    if (interp)
+      run_interp(gp, a, binding, q, sink, srcs, done, n, stats);
+    else
+      run_vector(gp, a, binding, q, sink, srcs, done, n, stats);
   }
   return stats;
 }
@@ -417,30 +405,6 @@ void Extractor::run_vector(const afc::GroupPlan& gp, const afc::Afc& a,
         break;
     }
   }
-  uint64_t* seq = arena_.seq(nsel);
-  for (std::size_t j = 0; j < nsel; ++j) seq[j] = done + sel[j];
-  sink.on_rows(out, ncols, nsel, seq);
-}
-
-void Extractor::run_jit(const afc::GroupPlan& gp, const afc::Afc& a,
-                        const GroupBinding& binding,
-                        const expr::BoundQuery& q, RowSink& sink,
-                        const unsigned char** srcs, uint64_t done, uint64_t n,
-                        ExtractStats& stats) {
-  const std::size_t ncols = q.select_slots().size();
-  stats.rows_scanned += n;
-  arena_.reset_scratch();
-  double* out = arena_.out(n * ncols);
-  uint32_t* sel = arena_.sel(n);
-  const long long row_base =
-      a.row_first + static_cast<int64_t>(done) * gp.row_range.step;
-  static_assert(sizeof(long long) == sizeof(int64_t));
-  long long cnt = binding.jit_fn(
-      srcs, n, reinterpret_cast<const long long*>(a.loop_values.data()),
-      row_base, out, sel);
-  const std::size_t nsel = static_cast<std::size_t>(cnt);
-  stats.rows_matched += nsel;
-  if (nsel == 0) return;
   uint64_t* seq = arena_.seq(nsel);
   for (std::size_t j = 0; j < nsel; ++j) seq[j] = done + sel[j];
   sink.on_rows(out, ncols, nsel, seq);

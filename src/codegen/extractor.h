@@ -3,20 +3,18 @@
 // For each AFC, the extractor walks num_rows * bytes_per_row bytes of
 // every chunk — decoding directly out of the file's shared memory mapping
 // when available, otherwise preading bounded batches into per-extractor
-// buffers — and runs one of three kernel tiers over each batch (see
+// buffers — and runs one of two kernel loops over each batch (see
 // docs/KERNELS.md):
 //
-//   interp  row-at-a-time: decode the needed fields into a dense double
-//           buffer, evaluate the compiled predicate per row.  The reference
-//           engine; always available.
-//   vector  columnar: decode predicate columns into arena batch buffers,
-//           evaluate the predicate as branch-free mask passes, gather the
-//           survivors, materialize output rows batch-at-a-time.
-//   jit     a per-plan compiled function (src/kernels/jit.h) does decode,
-//           filter and projection in one specialized pass; falls back to
-//           vector when no function was bound.
+//   vector  the production tier.  Columnar: decode predicate columns into
+//           arena batch buffers, evaluate the predicate as branch-free mask
+//           passes, gather the survivors, materialize output rows
+//           batch-at-a-time.
+//   interp  the reference loop.  Row-at-a-time: decode the needed fields
+//           into a dense double buffer, evaluate the compiled predicate per
+//           row.  The oracle the vector tier is checked against.
 //
-// All tiers produce bit-identical rows in the same scan order and hand
+// Both produce bit-identical rows in the same scan order and hand
 // them to a RowSink (zero-copy: the sink sees extractor-owned buffers).
 // A Table convenience overload appends to a result table.
 #pragma once
@@ -33,7 +31,6 @@
 #include "expr/predicate.h"
 #include "expr/table.h"
 #include "kernels/batch.h"
-#include "kernels/jit.h"
 
 namespace adv::codegen {
 
@@ -47,12 +44,10 @@ struct ExtractStats {
   uint64_t afcs_pruned = 0;
   uint64_t rows_pruned = 0;
   uint64_t bytes_skipped = 0;
-  // Which kernel tier actually ran, one count per extracted AFC.  Lets
-  // callers (and tests) assert that e.g. a jit request really used the
-  // generated function rather than silently falling back.
+  // Which kernel loop actually ran, one count per extracted AFC.  Lets
+  // callers (and tests) assert which loop served a query.
   uint64_t afcs_interp = 0;
   uint64_t afcs_vector = 0;
-  uint64_t afcs_jit = 0;
 
   ExtractStats& operator+=(const ExtractStats& o) {
     bytes_read += o.bytes_read;
@@ -63,7 +58,6 @@ struct ExtractStats {
     bytes_skipped += o.bytes_skipped;
     afcs_interp += o.afcs_interp;
     afcs_vector += o.afcs_vector;
-    afcs_jit += o.afcs_jit;
     return *this;
   }
 };
@@ -100,11 +94,6 @@ struct GroupBinding {
   std::vector<std::pair<std::size_t, double>> const_fills;  // (slot, value)
   std::vector<std::pair<std::size_t, int>> loop_fills;  // (slot, loop index)
   int row_slot = -1;
-
-  // Generated extract+filter function for this group, bound by the caller
-  // when a JIT module is available (storm's run_node, the plan cache).
-  // Null means the jit tier falls back to vector for this group.
-  kernels::JitExtractFn jit_fn = nullptr;
 };
 
 // Builds the binding; throws InternalError when a needed attribute has no
@@ -124,8 +113,8 @@ class RowSink {
   virtual void on_row(const double* vals, uint64_t scan_index) = 0;
 
   // Batch delivery: `rows` holds nrows * ncols doubles row-major,
-  // scan_index[i] is row i's scan position.  The vector and jit tiers call
-  // this once per batch; sinks that can ingest in bulk override it, the
+  // scan_index[i] is row i's scan position.  The vector tier calls this
+  // once per batch; sinks that can ingest in bulk override it, the
   // default preserves per-row semantics exactly.
   virtual void on_rows(const double* rows, std::size_t ncols,
                        std::size_t nrows, const uint64_t* scan_index) {
@@ -143,8 +132,8 @@ struct ExtractorOptions {
   // capped when a token is present so even a fully-mapped AFC polls every
   // ~64Ki rows); a fired token aborts with CancelledError.
   const CancelToken* cancel = nullptr;
-  // Kernel tier; kAuto resolves via ADV_KERNEL_MODE (default vector).
-  KernelMode kernel_mode = KernelMode::kAuto;
+  // Kernel loop: vector in production, interp for the reference path.
+  KernelMode kernel_mode = KernelMode::kVector;
 };
 
 // Streaming extractor.  File handles come from the process-wide FileCache
@@ -159,9 +148,7 @@ class Extractor {
       : batch_bytes_(opts.batch_bytes),
         io_mode_(resolve_io_mode(opts.io_mode)),
         cancel_(opts.cancel),
-        kernel_mode_(resolve_kernel_mode(opts.kernel_mode)) {}
-
-  KernelMode kernel_mode() const { return kernel_mode_; }
+        kernel_mode_(opts.kernel_mode) {}
 
   // Extracts one AFC.  `binding` must come from bind_group() of the AFC's
   // group.  Hands each matching row to `sink`.
@@ -188,7 +175,7 @@ class Extractor {
   const std::vector<const FileHandle*>& group_handles(
       const afc::GroupPlan& gp);
 
-  // One kernel tier per batch; all share the chunk-cursor setup in
+  // One kernel loop per batch; both share the chunk-cursor setup in
   // extract().  `srcs` point at the batch base of every chunk, `done` is
   // the batch's first in-AFC row index, `n` its row count.
   void run_interp(const afc::GroupPlan& gp, const afc::Afc& a,
@@ -199,10 +186,6 @@ class Extractor {
                   const GroupBinding& binding, const expr::BoundQuery& q,
                   RowSink& sink, const unsigned char** srcs, uint64_t done,
                   uint64_t n, ExtractStats& stats);
-  void run_jit(const afc::GroupPlan& gp, const afc::Afc& a,
-               const GroupBinding& binding, const expr::BoundQuery& q,
-               RowSink& sink, const unsigned char** srcs, uint64_t done,
-               uint64_t n, ExtractStats& stats);
 
   std::size_t batch_bytes_;
   IoMode io_mode_;
@@ -220,7 +203,7 @@ class Extractor {
   std::vector<const unsigned char*> srcs_;
   std::vector<double> row_;
   std::vector<double> out_row_;
-  // Columnar scratch for the vector/jit tiers, grow-only across batches.
+  // Columnar scratch for the vector tier, grow-only across batches.
   kernels::BatchArena arena_;
   std::vector<const double*> colptrs_;
   std::vector<uint8_t> slot_from_pred_col_;

@@ -203,9 +203,8 @@ expr::Table DataServicePlan::execute(const expr::BoundQuery& q,
   afc::PlanResult pr = index_fn(q, opts);
   expr::Table out(q.is_pushdown() ? scan_columns(q, model_->schema())
                                   : q.result_columns());
-  // The naive executors stay on the interp tier regardless of
-  // ADV_KERNEL_MODE: they are the reference the differential harness
-  // compares the kernel engines against.
+  // The naive executors run the interp reference loop: they are the oracle
+  // the differential harness compares the vector tier against.
   ExtractorOptions xopts;
   xopts.kernel_mode = KernelMode::kInterp;
   Extractor ex(xopts);

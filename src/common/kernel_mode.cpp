@@ -1,34 +1,14 @@
 #include "common/kernel_mode.h"
 
-#include "common/env.h"
-
 namespace adv {
 
-KernelMode resolve_kernel_mode(KernelMode configured) {
-  if (configured != KernelMode::kAuto) return configured;
-  KernelMode m;
-  if (kernel_mode_from_name(env_str("ADV_KERNEL_MODE", ""), m) &&
-      m != KernelMode::kAuto) {
-    return m;
-  }
-  return KernelMode::kVector;
-}
-
 const char* to_string(KernelMode m) {
-  switch (m) {
-    case KernelMode::kAuto: return "auto";
-    case KernelMode::kInterp: return "interp";
-    case KernelMode::kVector: return "vector";
-    case KernelMode::kJit: return "jit";
-  }
-  return "auto";
+  return m == KernelMode::kInterp ? "interp" : "vector";
 }
 
 bool kernel_mode_from_name(const std::string& name, KernelMode& out) {
-  if (name == "auto") out = KernelMode::kAuto;
+  if (name == "vector") out = KernelMode::kVector;
   else if (name == "interp") out = KernelMode::kInterp;
-  else if (name == "vector") out = KernelMode::kVector;
-  else if (name == "jit") out = KernelMode::kJit;
   else return false;
   return true;
 }

@@ -1,15 +1,10 @@
-// Kernel-engine selection for the extraction hot path.
+// Kernel-loop selection for the extraction hot path.
 //
-// The extractor runs one of three inner-loop engines per AFC (see
-// docs/KERNELS.md):
-//   interp  row-at-a-time interpreted decode + predicate eval (the
-//           original engine; also the dq differential reference)
-//   vector  columnar batch decode + branch-free mask predicate passes
-//   jit     per-plan C++ emitted, compiled, dlopen'ed extract+filter
-//           kernels, falling back to `vector` when no compiler is
-//           available, compilation fails, or the predicate uses a UDF
-// kAuto resolves through the ADV_KERNEL_MODE environment variable
-// ("interp" | "vector" | "jit"), defaulting to vector.
+// The extractor runs one of two inner loops per AFC (see docs/KERNELS.md):
+//   vector  columnar batch decode + branch-free mask predicate passes; the
+//           production tier and the default everywhere
+//   interp  row-at-a-time interpreted decode + predicate eval; the
+//           reference loop that the oracle and the dq harness pin
 #pragma once
 
 #include <cstdint>
@@ -17,12 +12,11 @@
 
 namespace adv {
 
-enum class KernelMode : uint8_t { kAuto, kInterp, kVector, kJit };
+// The numeric values are stable: they show up in logs and in parameterized
+// test names.
+enum class KernelMode : uint8_t { kInterp = 1, kVector = 2 };
 
-// Resolves kAuto via ADV_KERNEL_MODE; any explicit mode passes through.
-KernelMode resolve_kernel_mode(KernelMode configured = KernelMode::kAuto);
-
-// Spec name ("auto" | "interp" | "vector" | "jit").
+// Spec name ("vector" | "interp").
 const char* to_string(KernelMode m);
 
 // Parses a spec name; returns false (out untouched) on an unknown name.

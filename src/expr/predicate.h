@@ -73,7 +73,7 @@ struct OrderKeyRef {
 // the *scan* columns (group keys ∪ aggregate-input attributes, first-use
 // order) take the place of the select list everywhere the extraction
 // pipeline looks — select_attrs() / select_slots() describe what the
-// kernels materialize per row, so interp, vector, and jit tiers work
+// kernels materialize per row, so the vector and interp loops work
 // unchanged.  result_columns() describes the final (post-merge) output.
 class BoundQuery {
  public:

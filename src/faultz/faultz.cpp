@@ -18,7 +18,7 @@ constexpr const char* kSiteNames[kNumSites] = {
     "pread.eintr", "pread.eio",  "pread.short", "mmap.fail",
     "mmap.torn",   "send.eintr", "send.partial", "send.reset",
     "recv.eintr",  "recv.reset", "zonemap.load", "node.run",
-    "serve.query", "jit.compile", "agg.merge", "serve.cache",
+    "serve.query", "agg.merge",  "serve.cache",
 };
 
 }  // namespace

@@ -47,7 +47,6 @@ enum class Site : uint8_t {
   kZonemapLoad,     // sidecar load aborts (must fall back to full scan)
   kNodeRun,         // a STORM node worker dies at query start
   kServeQuery,      // the query-service worker dies after admission
-  kJitCompile,      // JIT kernel compilation fails (must fall back to vector)
   kAggMerge,        // partial-aggregate worker->node merge dies mid-query
   kServeCache,      // result cache misbehaves: a lookup hit is poisoned
                     // (entry evicted, treated as a miss, no single-flight

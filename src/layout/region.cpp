@@ -67,7 +67,7 @@ struct Walker {
       // contiguous array over the record span.  Lower to one region per
       // field — a single-field record of size_of(type) bytes whose base is
       // offset past the preceding arrays — so the planner, zone map, and
-      // all kernel tiers see ordinary aligned chunks (that happen to share
+      // both kernel loops see ordinary aligned chunks (that happen to share
       // the record loop) and unread columns cost zero I/O.
       uint64_t span = static_cast<uint64_t>(range.count());
       uint64_t off = 0;

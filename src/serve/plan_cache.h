@@ -23,7 +23,6 @@
 
 #include "afc/types.h"
 #include "expr/predicate.h"
-#include "kernels/jit.h"
 
 namespace adv {
 
@@ -32,10 +31,6 @@ namespace adv {
 struct CachedPlan {
   expr::BoundQuery query;
   std::vector<afc::PlanResult> node_plans;  // node_plans[n] serves node n
-  // Precompiled jit modules matching node_plans (empty unless the table
-  // runs in jit kernel mode; null entries mean that node fell back).
-  // Cached alongside the plan so warm queries skip emit + compile + dlopen.
-  std::vector<std::shared_ptr<const kernels::JitModule>> jit_modules;
 
   explicit CachedPlan(expr::BoundQuery q) : query(std::move(q)) {}
 };

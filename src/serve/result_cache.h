@@ -157,7 +157,7 @@ struct ServeOptions {
   // want.
   bool enable_result_cache = false;
   ResultCache::Options result_cache;
-  // Server-side plan cache (bind + per-node index runs + jit modules),
+  // Server-side plan cache (bind + per-node index runs),
   // keyed like the result cache so data rewrites retire stale AFC lists.
   bool enable_plan_cache = true;
   std::size_t plan_cache_capacity = 32;

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "agg/agg.h"
-#include "codegen/emit.h"
 #include "common/env.h"
 #include "common/error.h"
 #include "common/rng.h"
@@ -82,7 +81,7 @@ class PartitionSink final : public codegen::RowSink {
     if (b.num_rows() >= batch_rows_) flush(dest);
   }
 
-  // Bulk path for the vector/jit kernels.  With a single consumer every
+  // Bulk path for the vector kernel.  With a single consumer every
   // row has destination 0, so the whole batch lands in one insert; with
   // multiple consumers rows route individually (destinations depend on row
   // content / sequence), preserving on_row semantics exactly.
@@ -151,8 +150,6 @@ void run_node(int node, const codegen::DataServicePlan& plan,
               ThreadPool* pool, NodeStats& stats,
               const afc::PlanResult* preplanned = nullptr,
               const CancelToken* cancel = nullptr,
-              const std::shared_ptr<const kernels::JitModule>* premodule =
-                  nullptr,
               std::string* agg_out = nullptr) {
   stats.node_id = node;
   Stopwatch busy;
@@ -181,28 +178,6 @@ void run_node(int node, const codegen::DataServicePlan& plan,
     for (const auto& g : pr.groups)
       bindings.push_back(codegen::bind_group(g, q, plan.schema()));
 
-    // jit tier: bind the per-group generated functions.  A precompiled
-    // module (plan-cache warm path) is used as-is; otherwise emit+compile
-    // through the process-wide cache.  Any failure — no compiler, UDF in
-    // the predicate, an armed jit.compile fault — leaves jit_fn null and
-    // the extractor runs the vector tier instead.
-    const KernelMode mode = resolve_kernel_mode(opts.kernel_mode);
-    std::shared_ptr<const kernels::JitModule> jit_mod;
-    if (mode == KernelMode::kJit && !pr.groups.empty() &&
-        codegen::can_jit_query(q)) {
-      if (premodule != nullptr && *premodule != nullptr) {
-        jit_mod = *premodule;
-      } else {
-        jit_mod = kernels::JitCache::instance().get_or_compile(
-            codegen::emit_extract_cpp(pr, q));
-      }
-      if (jit_mod &&
-          jit_mod->num_groups() == static_cast<int>(pr.groups.size())) {
-        for (std::size_t g = 0; g < bindings.size(); ++g)
-          bindings[g].jit_fn = jit_mod->group_fn(static_cast<int>(g));
-      }
-    }
-
     // Ordering contract: rows are numbered by scan position.  AFC i's rows
     // start at the prefix sum of earlier AFCs' row counts — a numbering
     // that is a function of the plan alone, so kRoundRobin/kBlockCyclic
@@ -217,7 +192,7 @@ void run_node(int node, const codegen::DataServicePlan& plan,
     codegen::ExtractorOptions xopts;
     xopts.io_mode = opts.io_mode;
     xopts.cancel = cancel;
-    xopts.kernel_mode = mode;
+    xopts.kernel_mode = opts.kernel_mode;
 
     // Aggregation / top-k pushdown: workers fold rows into local aggregate
     // state (one PushdownSink per range worker, merged below) instead of
@@ -285,7 +260,6 @@ void run_node(int node, const codegen::DataServicePlan& plan,
       stats.io_retries += ws.io_retries;
       stats.afcs_interp += ws.extract.afcs_interp;
       stats.afcs_vector += ws.extract.afcs_vector;
-      stats.afcs_jit += ws.extract.afcs_jit;
       if (stats.error.empty() && !ws.error.empty()) {
         stats.error = ws.error;
         stats.error_kind = ws.error_kind;
@@ -482,9 +456,7 @@ std::vector<afc::PlanResult> StormCluster::plan_nodes(
 
 QueryResult StormCluster::execute_planned(
     const expr::BoundQuery& q, const std::vector<afc::PlanResult>& node_plans,
-    const PartitionSpec& partition, CancelToken* cancel,
-    const std::vector<std::shared_ptr<const kernels::JitModule>>*
-        node_modules) {
+    const PartitionSpec& partition, CancelToken* cancel) {
   if (node_plans.size() != static_cast<std::size_t>(num_nodes()))
     throw QueryError("execute_planned: expected one plan per node");
   std::vector<expr::Table> tables;
@@ -496,7 +468,7 @@ QueryResult StormCluster::execute_planned(
         tables[static_cast<std::size_t>(batch.consumer)].append_rows(
             batch.data.data(), batch.num_rows());
       },
-      partition, nullptr, &node_plans, cancel, node_modules);
+      partition, nullptr, &node_plans, cancel);
   result.partitions = std::move(tables);
   return result;
 }
@@ -504,9 +476,7 @@ QueryResult StormCluster::execute_planned(
 QueryResult StormCluster::execute_streaming(
     const expr::BoundQuery& q, const BatchSink& sink,
     const PartitionSpec& partition, const afc::ChunkFilter* filter,
-    const std::vector<afc::PlanResult>* node_plans, CancelToken* cancel,
-    const std::vector<std::shared_ptr<const kernels::JitModule>>*
-        node_modules) {
+    const std::vector<afc::PlanResult>* node_plans, CancelToken* cancel) {
   if (partition.num_consumers < 1)
     throw QueryError("PartitionSpec.num_consumers must be >= 1");
   // Pushdown queries partition *final* rows (result-column order); plain
@@ -532,19 +502,13 @@ QueryResult StormCluster::execute_streaming(
 
   if (node_plans && node_plans->size() != static_cast<std::size_t>(nodes))
     throw QueryError("execute_streaming: expected one plan per node");
-  if (node_modules &&
-      node_modules->size() != static_cast<std::size_t>(nodes))
-    throw QueryError("execute_streaming: expected one jit module per node");
   std::vector<std::string> agg_states(static_cast<std::size_t>(nodes));
   auto node_body = [&](int n) {
     run_node(n, *plan_, q, filter, partsvc, mover, opts_, pool,
              result.node_stats[static_cast<std::size_t>(n)],
              node_plans ? &(*node_plans)[static_cast<std::size_t>(n)]
                         : nullptr,
-             cancel,
-             node_modules ? &(*node_modules)[static_cast<std::size_t>(n)]
-                          : nullptr,
-             &agg_states[static_cast<std::size_t>(n)]);
+             cancel, &agg_states[static_cast<std::size_t>(n)]);
   };
 
   // A sink that throws (a remote consumer hung up mid-stream) must not
@@ -587,10 +551,7 @@ QueryResult StormCluster::execute_streaming(
                result.node_stats[static_cast<std::size_t>(n)],
                node_plans ? &(*node_plans)[static_cast<std::size_t>(n)]
                           : nullptr,
-               cancel,
-               node_modules ? &(*node_modules)[static_cast<std::size_t>(n)]
-                            : nullptr,
-               &agg_states[static_cast<std::size_t>(n)]);
+               cancel, &agg_states[static_cast<std::size_t>(n)]);
       ch->close();
       while (auto batch = ch->pop()) guarded_sink(*batch);
     }
@@ -682,12 +643,6 @@ uint64_t QueryResult::total_afcs_interp() const {
 uint64_t QueryResult::total_afcs_vector() const {
   uint64_t n = 0;
   for (const auto& s : node_stats) n += s.afcs_vector;
-  return n;
-}
-
-uint64_t QueryResult::total_afcs_jit() const {
-  uint64_t n = 0;
-  for (const auto& s : node_stats) n += s.afcs_jit;
   return n;
 }
 

@@ -36,7 +36,6 @@
 #include "common/io.h"
 #include "common/kernel_mode.h"
 #include "common/thread_pool.h"
-#include "kernels/jit.h"
 #include "storm/services.h"
 
 namespace adv::storm {
@@ -59,11 +58,9 @@ struct NodeStats {
   // Transient read faults healed by the bounded per-AFC retry (the node
   // still succeeded; the count is how many extra attempts it took).
   uint64_t io_retries = 0;
-  // Which kernel tier extracted this node's AFCs (one count per AFC); a
-  // jit request that fell back shows up as afcs_vector > 0, afcs_jit == 0.
+  // Which kernel loop extracted this node's AFCs (one count per AFC).
   uint64_t afcs_interp = 0;
   uint64_t afcs_vector = 0;
-  uint64_t afcs_jit = 0;
   // Aggregation pushdown (docs/AGGREGATION.md): groups (or buffered top-k
   // rows) this node emitted, the serialized partial-aggregate state size
   // that crossed the node boundary in place of rows, and how many range
@@ -96,7 +93,6 @@ struct QueryResult {
   uint64_t total_io_retries() const;
   uint64_t total_afcs_interp() const;
   uint64_t total_afcs_vector() const;
-  uint64_t total_afcs_jit() const;
   uint64_t total_groups_emitted() const;
   uint64_t total_agg_bytes_shipped() const;
   // Concatenation of all partitions.
@@ -126,11 +122,9 @@ struct ClusterOptions {
   // fails the node after the budget.  0 disables retry.
   std::size_t io_retry_limit = 2;
   uint64_t io_retry_backoff_us = 100;
-  // Extraction kernel tier; kAuto honors env ADV_KERNEL_MODE ("interp" /
-  // "vector" / "jit"), defaulting to vector.  jit compiles one specialized
-  // module per (plan, query) and falls back to vector when the system
-  // compiler is unavailable or the predicate calls a UDF.
-  KernelMode kernel_mode = KernelMode::kAuto;
+  // Extraction kernel loop: vector in production; interp is the reference
+  // loop the oracle and the differential harness pin.
+  KernelMode kernel_mode = KernelMode::kVector;
   // Admission heuristic: a node splits its AFC list into at most
   // total_rows / min_rows_per_worker parallel ranges, so each range worker
   // amortizes its setup (extractor scratch, pread buffers, per-consumer
@@ -176,10 +170,6 @@ class StormCluster {
   // returned QueryResult carries stats only — its partitions are empty.
   // A sink exception cancels the query (when it has a token), drains the
   // remaining batches, and is rethrown once every node worker joined.
-  // `node_modules` (optional, one entry per node, null entries allowed)
-  // supplies precompiled jit modules matching `node_plans` — the plan
-  // cache's warm path.  Without it, jit mode compiles per node on first
-  // use (served by the process-wide JitCache afterwards).
   using BatchSink = std::function<void(const RowBatch&)>;
   QueryResult execute_streaming(const expr::BoundQuery& q,
                                 const BatchSink& sink,
@@ -187,10 +177,7 @@ class StormCluster {
                                 const afc::ChunkFilter* filter = nullptr,
                                 const std::vector<afc::PlanResult>*
                                     node_plans = nullptr,
-                                CancelToken* cancel = nullptr,
-                                const std::vector<std::shared_ptr<
-                                    const kernels::JitModule>>*
-                                    node_modules = nullptr);
+                                CancelToken* cancel = nullptr);
 
   // Executes against precomputed per-node plans (node_plans[n] is the
   // index-function result for node n, with any chunk filter already
@@ -200,10 +187,7 @@ class StormCluster {
   QueryResult execute_planned(const expr::BoundQuery& q,
                               const std::vector<afc::PlanResult>& node_plans,
                               const PartitionSpec& partition = {},
-                              CancelToken* cancel = nullptr,
-                              const std::vector<std::shared_ptr<
-                                  const kernels::JitModule>>*
-                                  node_modules = nullptr);
+                              CancelToken* cancel = nullptr);
 
   // Runs the per-node index function for every node (as execute() would)
   // and returns the plans, one per node.

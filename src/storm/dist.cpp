@@ -271,7 +271,7 @@ void DistCoordinator::run_shard(const std::string& sql,
           ns.io_retries = p.get<uint64_t>();
           ns.afcs_interp = p.get<uint64_t>();
           ns.afcs_vector = p.get<uint64_t>();
-          ns.afcs_jit = p.get<uint64_t>();
+          p.get<uint64_t>();  // retired tier counter; slot kept for old peers
           // Aggregation tail, absent from pre-pushdown daemons.
           if (p.remaining() >= 5 * sizeof(uint64_t)) {
             ns.groups_emitted = p.get<uint64_t>();

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "agg/agg.h"
-#include "codegen/emit.h"
 #include "common/env.h"
 #include "common/error.h"
 #include "common/stopwatch.h"
@@ -163,7 +162,7 @@ void put_node_stats(Payload& p, const NodeStats& ns) {
   p.put<uint64_t>(ns.io_retries);
   p.put<uint64_t>(ns.afcs_interp);
   p.put<uint64_t>(ns.afcs_vector);
-  p.put<uint64_t>(ns.afcs_jit);
+  p.put<uint64_t>(0);  // retired tier counter; slot kept so older peers parse
   // Aggregation tail (optional for older coordinators).
   p.put<uint64_t>(ns.groups_emitted);
   p.put<uint64_t>(ns.agg_bytes_shipped);
@@ -446,19 +445,6 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       for (const auto& g : pr.groups)
         bindings.push_back(codegen::bind_group(g, q, plan_->schema()));
 
-      const KernelMode mode = resolve_kernel_mode(opts_.cluster.kernel_mode);
-      std::shared_ptr<const kernels::JitModule> jit_mod;
-      if (mode == KernelMode::kJit && !pr.groups.empty() &&
-          codegen::can_jit_query(q)) {
-        jit_mod = kernels::JitCache::instance().get_or_compile(
-            codegen::emit_extract_cpp(pr, q));
-        if (jit_mod &&
-            jit_mod->num_groups() == static_cast<int>(pr.groups.size())) {
-          for (std::size_t g = 0; g < bindings.size(); ++g)
-            bindings[g].jit_fn = jit_mod->group_fn(static_cast<int>(g));
-        }
-      }
-
       std::vector<uint64_t> base(nafcs + 1, 0);
       for (std::size_t i = 0; i < nafcs; ++i)
         base[i + 1] = base[i] + pr.afcs[i].num_rows;
@@ -466,7 +452,7 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       codegen::ExtractorOptions xopts;
       xopts.io_mode = opts_.cluster.io_mode;
       xopts.cancel = &token;
-      xopts.kernel_mode = mode;
+      xopts.kernel_mode = opts_.cluster.kernel_mode;
       codegen::Extractor extractor(xopts);
       PartitionGenerationService partsvc(part);
       WireSink sink(fd, send_mu, ncols, part.num_consumers, partsvc,
@@ -577,7 +563,6 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       stats.rows_matched = xstats.rows_matched;
       stats.afcs_interp = xstats.afcs_interp;
       stats.afcs_vector = xstats.afcs_vector;
-      stats.afcs_jit = xstats.afcs_jit;
       stats.bytes_sent = pushdown ? agg_bytes : sink.bytes_sent();
       stats.groups_emitted = agg_groups;
       stats.agg_bytes_shipped = agg_bytes;

@@ -6,9 +6,9 @@
 // planner restricted to `node_id`), and serves scatter queries from a
 // DistCoordinator over the wire protocol's distribution frames (see
 // storm/wire.h): local planning with zone-map pruning, local extraction
-// through the kernel tiers (interp/vector/jit), partition generation, and
-// row shipping all run inside the daemon, so a `kill -9` of one daemon
-// takes down exactly one shard.
+// through the kernel loop (vector, or the interp reference), partition
+// generation, and row shipping all run inside the daemon, so a `kill -9`
+// of one daemon takes down exactly one shard.
 //
 // Failover contract (the part the chaos harness leans on):
 //   * The daemon scans its AFC list in deterministic plan order and sends

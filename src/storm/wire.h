@@ -224,8 +224,8 @@ struct Socket {
   }
 };
 
-// 64-bit FNV-1a, the repo's standard content hash (jit source hashes, zone
-// map sidecar checksums) — here for plan fingerprints.
+// 64-bit FNV-1a, the repo's standard content hash (zone map sidecar
+// checksums) — here for plan fingerprints.
 inline uint64_t fnv1a64(const void* data, std::size_t n,
                         uint64_t h = 1469598103934665603ull) {
   const unsigned char* p = static_cast<const unsigned char*>(data);

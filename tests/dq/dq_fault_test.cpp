@@ -104,23 +104,6 @@ TEST_P(CampaignTest, ResultCacheFaults) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CampaignTest,
                          ::testing::Range<uint64_t>(1, 5));
 
-// The "jit" campaign fails every jit compilation at the faultz site (the
-// check runs before the disk-cache lookup, so a warm cache cannot mask
-// it).  The extractor must degrade to the vector tier invisibly: every
-// case still byte-identical, zero clean errors — a missing or broken
-// compiler can never change answers or availability.
-TEST(DqFaultTest, JitCompileFaultFallsBackToVector) {
-  DqOptions opts;
-  opts.kernel_mode = KernelMode::kJit;
-  opts.fault_spec = campaign_spec("jit");
-  opts.fault_seed = 3;
-  DqReport rep = run_seed(3, opts);
-  for (const std::string& f : rep.failures) ADD_FAILURE() << f;
-  EXPECT_EQ(rep.passed, rep.cases) << rep.summary();
-  EXPECT_EQ(rep.clean_errors, 0) << rep.summary();
-  EXPECT_GT(rep.fault_fires, 0u) << rep.summary();
-}
-
 // ---------------------------------------------------------------------------
 // FaultPlan semantics.
 

@@ -488,12 +488,16 @@ std::string random_query(const DqDataset& d, SplitMix64& rng) {
     // shares resolves on exact columns, and ORDER BY sticks to the exact
     // outputs (keys, COUNT, MIN, MAX) — SUM/AVG compare only within float
     // tolerance, so ordering by them could cut a LIMIT at different rows.
+    // The bare shape references no attribute at all: only COUNT(*) items
+    // and no WHERE, so the planner must still find the record loop.
     std::vector<std::string> keys;
-    switch (rng.next_below(d.st_grid ? 5 : 4)) {
+    bool bare = false;
+    switch (rng.next_below(d.st_grid ? 6 : 5)) {
       case 0: break;  // global aggregate
       case 1: keys = {"REL"}; break;
       case 2: keys = {"TIME"}; break;
-      case 4: keys = {"LAT", "LON"}; break;
+      case 4: bare = true; break;
+      case 5: keys = {"LAT", "LON"}; break;
       default: keys = {"REL", "TIME"}; break;
     }
     std::vector<std::string> items;
@@ -503,7 +507,8 @@ std::string random_query(const DqDataset& d, SplitMix64& rng) {
       const std::string p =
           format("P%d", 1 + static_cast<int>(rng.next_below(
                                 static_cast<uint64_t>(d.payloads))));
-      switch (rng.next_below(5)) {
+      const uint64_t fn = rng.next_below(5);
+      switch (bare ? 0 : fn) {
         case 0:
           items.push_back("COUNT(*)");
           orderable.push_back(items.back());
@@ -526,7 +531,8 @@ std::string random_query(const DqDataset& d, SplitMix64& rng) {
     }
     std::vector<std::string> select = keys;
     select.insert(select.end(), items.begin(), items.end());
-    std::string sql = "SELECT " + join(select, ", ") + " FROM " + d.name + where;
+    std::string sql = "SELECT " + join(select, ", ") + " FROM " + d.name +
+                      (bare ? "" : where);
     if (!keys.empty()) sql += " GROUP BY " + join(keys, ", ");
     if (!orderable.empty() && rng.next_below(2) == 0) {
       sql += " ORDER BY " +

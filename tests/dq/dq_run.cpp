@@ -194,7 +194,6 @@ std::string campaign_spec(const std::string& name) {
   if (name == "zm") return "zonemap.load=1";
   if (name == "sched") return "serve.query=0.3";
   if (name == "serve") return "serve.cache=0.5";
-  if (name == "jit") return "jit.compile=1";
   if (name == "none") return "";
   throw ValidationError("unknown fault campaign: " + name);
 }
@@ -210,7 +209,7 @@ std::string replay_command(uint64_t seed, const DqOptions& opts) {
   if (opts.with_dist) os << " --dist";
   if (opts.partial_results) os << " --partial";
   if (opts.io_mode == IoMode::kPread) os << " --pread";
-  if (opts.kernel_mode != KernelMode::kAuto)
+  if (opts.kernel_mode != KernelMode::kVector)
     os << " --kernel " << to_string(opts.kernel_mode);
   return os.str();
 }

@@ -62,10 +62,10 @@ struct DqOptions {
   bool partial_results = false;
   // I/O mode for the fast path's cluster (kAuto = env/mmap).
   IoMode io_mode = IoMode::kAuto;
-  // Kernel tier for the fast path (kAuto = env/vector).  The reference
-  // executor is pinned to the interpreter regardless, so vector and jit
-  // runs are genuine cross-tier differentials.
-  KernelMode kernel_mode = KernelMode::kAuto;
+  // Kernel loop for the fast path.  The reference executor is pinned to
+  // the interpreter regardless, so vector runs are genuine cross-loop
+  // differentials.
+  KernelMode kernel_mode = KernelMode::kVector;
   // Run the phase-4 cross-dataset join round (the shrinker turns this off
   // when the failure reproduces without it).
   bool with_joins = true;
@@ -88,7 +88,7 @@ struct DqReport {
 };
 
 // The spec for a named campaign: "io", "net", "node", "agg", "zm",
-// "sched", "jit".  Throws ValidationError for an unknown name.
+// "sched", "serve".  Throws ValidationError for an unknown name.
 std::string campaign_spec(const std::string& name);
 
 // The query corpus run_seed derives for dataset `d` (n = queries_per_seed).

@@ -1,9 +1,7 @@
-// Tests for the kernel engine tiers: BatchArena buffer reuse, mask-pass
-// lowering (IN / BETWEEN / OR / NOT) against the per-row interpreter, the
-// scalar UDF fallback inside batches, cross-tier row equivalence on a real
-// dataset, the JIT module cache (memory hit / disk reload / compile), and
-// graceful degradation to the vector tier when the compiler is missing or
-// the jit.compile fault site fires.
+// Tests for the kernel loops: BatchArena buffer reuse, mask-pass lowering
+// (IN / BETWEEN / OR / NOT) against the per-row interpreter, the scalar UDF
+// fallback inside batches, vector-vs-interp row equivalence on a real
+// dataset, and that the default cluster always runs the vector tier.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,9 +12,7 @@
 #include "advirt.h"
 #include "common/tempdir.h"
 #include "dataset/layout_writer.h"
-#include "faultz/faultz.h"
 #include "kernels/batch.h"
-#include "kernels/jit.h"
 
 namespace adv {
 namespace {
@@ -26,7 +22,7 @@ using expr::CompiledScalar;
 using kernels::BatchArena;
 
 // Sets an environment variable for one scope and restores the previous
-// state on exit (tests flip ADV_JIT_CXX / ADV_JIT_CACHE_DIR).
+// state on exit.
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const std::string& value) : name_(name) {
@@ -288,136 +284,20 @@ TEST(KernelTierTest, InterpModeRunsTheInterpreter) {
   storm::QueryResult r = f.run(sql, KernelMode::kInterp);
   EXPECT_TRUE(r.merged().same_rows(want));
   EXPECT_GT(r.total_afcs_interp(), 0u);
-  EXPECT_EQ(r.total_afcs_vector() + r.total_afcs_jit(), 0u);
+  EXPECT_EQ(r.total_afcs_vector(), 0u);
 }
 
-TEST(KernelTierTest, JitMatchesInterpReference) {
-  if (!kernels::JitCache::instance().compiler_available())
-    GTEST_SKIP() << "no system compiler";
+// The tier is a ClusterOptions field and nothing else: the environment
+// variable older builds consulted (set here to "interp") changes nothing.
+TEST(KernelTierTest, DefaultOptionsRunVectorWhateverTheEnvironment) {
   TierFixture f;
-  TempDir cache("kernjitcache");
-  ScopedEnv env("ADV_JIT_CACHE_DIR", cache.str());
-  for (const char* sql : kTierQueries) {
-    expr::Table want = f.plan->execute(f.plan->bind(sql));
-    storm::QueryResult r = f.run(sql, KernelMode::kJit);
-    EXPECT_TRUE(r.merged().same_rows(want)) << sql;
-  }
-  // The UDF query cannot be jitted (opaque function pointer) and must have
-  // fallen back to vector; the pure queries must have run the generated
-  // kernels.
-  storm::QueryResult pure = f.run(kTierQueries[1], KernelMode::kJit);
-  EXPECT_GT(pure.total_afcs_jit(), 0u);
-  EXPECT_EQ(pure.total_afcs_interp(), 0u);
-  storm::QueryResult udf = f.run(kTierQueries[3], KernelMode::kJit);
-  EXPECT_EQ(udf.total_afcs_jit(), 0u);
-  EXPECT_GT(udf.total_afcs_vector(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// JitCache mechanics on a synthetic module (no planner involved).
-
-const char* const kSyntheticSource = R"(// advjit-abi-v1 kernels_test synthetic
-typedef long long (*advjit_fn_t)(const unsigned char* const*,
-                                 unsigned long long, const long long*,
-                                 long long, double*, unsigned int*);
-extern "C" long long advjit_g0(const unsigned char* const* srcs,
-                               unsigned long long nrows,
-                               const long long* loops, long long row_first,
-                               double* out, unsigned int* sel) {
-  (void)srcs; (void)loops;
-  long long m = 0;
-  for (unsigned long long r = 0; r < nrows; ++r) {
-    if ((row_first + (long long)r) % 2 != 0) continue;
-    out[m] = (double)(row_first + (long long)r) * 10.0;
-    sel[m] = (unsigned int)r;
-    ++m;
-  }
-  return m;
-}
-extern "C" int advjit_num_groups(void) { return 1; }
-extern "C" advjit_fn_t advjit_group_fn(int g) {
-  return g == 0 ? &advjit_g0 : (advjit_fn_t)0;
-}
-)";
-
-TEST(JitCacheTest, CompileMemoryHitAndDiskReload) {
-  auto& cache = kernels::JitCache::instance();
-  if (!cache.compiler_available()) GTEST_SKIP() << "no system compiler";
-  TempDir dir("jitcache");
-  ScopedEnv env("ADV_JIT_CACHE_DIR", dir.str());
-
-  kernels::JitStats before = cache.stats();
-  auto mod = cache.get_or_compile(kSyntheticSource);
-  ASSERT_NE(mod, nullptr);
-  EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
-  ASSERT_EQ(mod->num_groups(), 1);
-  EXPECT_EQ(mod->group_fn(1), nullptr);
-  EXPECT_EQ(mod->group_fn(-1), nullptr);
-
-  // The generated function actually runs.
-  double out[8];
-  unsigned int sel[8];
-  kernels::JitExtractFn fn = mod->group_fn(0);
-  ASSERT_NE(fn, nullptr);
-  long long m = fn(nullptr, 5, nullptr, 3, out, sel);  // rows 3..7, evens
-  ASSERT_EQ(m, 2);
-  EXPECT_EQ(out[0], 40.0);
-  EXPECT_EQ(sel[0], 1u);
-  EXPECT_EQ(out[1], 60.0);
-  EXPECT_EQ(sel[1], 3u);
-
-  // Second request: served from the in-process map, same module.
-  auto mod2 = cache.get_or_compile(kSyntheticSource);
-  EXPECT_EQ(mod2.get(), mod.get());
-  EXPECT_EQ(cache.stats().memory_hits, before.memory_hits + 1);
-
-  // Drop the memory map: the .so on disk is dlopen-ed instead of recompiled.
-  cache.clear_memory();
-  auto mod3 = cache.get_or_compile(kSyntheticSource);
-  ASSERT_NE(mod3, nullptr);
-  EXPECT_EQ(cache.stats().disk_hits, before.disk_hits + 1);
-  EXPECT_EQ(cache.stats().compiles, before.compiles + 1);  // no recompile
-  EXPECT_EQ(mod3->num_groups(), 1);
-}
-
-TEST(JitCacheTest, SourceHashIsStableAndDiscriminates) {
-  EXPECT_EQ(kernels::jit_source_hash("abc"),
-            kernels::jit_source_hash("abc"));
-  EXPECT_NE(kernels::jit_source_hash("abc"),
-            kernels::jit_source_hash("abd"));
-}
-
-// ---------------------------------------------------------------------------
-// Degradation: jit mode must never fail a query — it falls back to vector.
-
-TEST(JitFallbackTest, MissingCompilerFallsBackToVector) {
-  TierFixture f;
-  TempDir dir("jitnocc");
-  ScopedEnv cxx("ADV_JIT_CXX", "/nonexistent/advjit-no-such-compiler");
-  ScopedEnv cachedir("ADV_JIT_CACHE_DIR", dir.str());
-  // A query constant unique to this test keeps the generated source out of
-  // the in-process module map (which is consulted before the compiler).
-  const char* sql = "SELECT T, W FROM DS WHERE V BETWEEN -3.125 AND 3.125";
-  expr::Table want = f.plan->execute(f.plan->bind(sql));
-  storm::QueryResult r = f.run(sql, KernelMode::kJit);
-  EXPECT_TRUE(r.merged().same_rows(want));
-  EXPECT_EQ(r.total_afcs_jit(), 0u);
+  ScopedEnv env("ADV_" "KERNEL_MODE", "interp");
+  VirtualTable vt = VirtualTable::open(f.text, "DS", f.tmp.str());
+  storm::QueryResult r = vt.query_detailed(kTierQueries[1]);
+  EXPECT_TRUE(r.merged().same_rows(f.plan->execute(f.plan->bind(
+      kTierQueries[1]))));
   EXPECT_GT(r.total_afcs_vector(), 0u);
-}
-
-TEST(JitFallbackTest, InjectedCompileFaultFallsBackToVector) {
-  TierFixture f;
-  TempDir dir("jitfault");
-  ScopedEnv cachedir("ADV_JIT_CACHE_DIR", dir.str());
-  faultz::ScopedFaultPlan scope(21, "jit.compile=1");
-  const char* sql = "SELECT T, W FROM DS WHERE V BETWEEN -1.0625 AND 5.25";
-  expr::Table want = f.plan->execute(f.plan->bind(sql));
-  storm::QueryResult r = f.run(sql, KernelMode::kJit);
-  EXPECT_TRUE(r.merged().same_rows(want));
-  EXPECT_EQ(r.total_afcs_jit(), 0u);
-  EXPECT_GT(r.total_afcs_vector(), 0u);
-  EXPECT_GT(faultz::FaultPlan::instance().stats(
-                faultz::Site::kJitCompile).fires, 0u);
+  EXPECT_EQ(r.total_afcs_interp(), 0u);
 }
 
 }  // namespace

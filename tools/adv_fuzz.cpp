@@ -33,7 +33,7 @@ int usage(const char* argv0) {
       "                    print the minimized descriptor + corpus\n"
       "  --queries M       queries per seed (default 5)\n"
       "  --campaign NAME   named fault campaign: io, net, node, agg, zm,\n"
-      "                    sched, jit\n"
+      "                    sched, serve\n"
       "  --fault-spec S    explicit fault spec, e.g. 'pread.eio=0.01:3'\n"
       "  --fault-seed N    fault-plan seed (default: the corpus seed)\n"
       "  --server          also round-trip queries through the v2 protocol\n"
@@ -41,8 +41,8 @@ int usage(const char* argv0) {
       "                    behind a DistCoordinator (in-process)\n"
       "  --partial         run the fast path in partial-results mode\n"
       "  --pread           force pread I/O (no mmap) on the fast path\n"
-      "  --kernel MODE     kernel tier for the fast path: interp, vector,\n"
-      "                    jit (default: auto = env/vector)\n"
+      "  --kernel MODE     kernel loop for the fast path: vector (default)\n"
+      "                    or interp\n"
       "  --deadline SECS   per-query deadline (default 20)\n",
       argv0);
   return 2;
