@@ -21,7 +21,8 @@
 #   5. Address+UndefinedBehaviorSanitizer build (cmake --preset asan) of
 #      the whole tree, running the fast test tier (ctest --preset
 #      fast-asan) so every layout family / extraction / join path is
-#      checked for heap errors and UB on each verify
+#      checked for heap errors and UB on each verify, plus one --dist
+#      differential seed through in-process node daemons
 #   6. bench_check.sh — scan/pruning/plan-cache/served-query/serving-cache
 #      throughput vs the committed BENCH_micro.json (a BENCH_CHECK_TOLERANCE
 #      rows_per_sec or queries_per_sec regression, or any
@@ -119,6 +120,10 @@ if [[ "${VERIFY_SKIP_ASAN:-0}" != "1" ]]; then
   cmake --preset asan >/dev/null
   cmake --build build-asan -j"$JOBS"
   ctest --preset fast-asan -j"$JOBS"
+  # fast-asan excludes the dist label, so run one differential seed
+  # through in-process node daemons: the daemon scan loop and the
+  # coordinator's frame decoding under ASan/UBSan.
+  ./build-asan/tools/adv_fuzz --seed 101 --seeds 1 --dist >/dev/null
 fi
 
 if [[ "${VERIFY_SKIP_BENCH:-0}" != "1" ]]; then

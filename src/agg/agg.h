@@ -264,10 +264,11 @@ class MergeAcc {
 // Worker-side sink
 
 // RowSink that folds matched rows into local aggregate state instead of
-// shipping them.  Mirrors storm's PartitionSink per-AFC protocol: folds go
-// into a delta that begin_afc() commits and rollback_afc() discards, so an
-// AFC retried after a transient IoError never double-counts (rollback
-// always succeeds — nothing has left the worker).
+// shipping them.  Follows the node loop's per-AFC sink protocol
+// (storm/node_runner.h): folds go into a delta that begin_afc() commits
+// and rollback_afc() discards, so an AFC retried after a transient IoError
+// never double-counts (rollback always succeeds — nothing has left the
+// worker).
 class PushdownSink : public codegen::RowSink {
  public:
   PushdownSink(const expr::BoundQuery& q, const StrategyChoice& choice);

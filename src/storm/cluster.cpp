@@ -1,10 +1,8 @@
 #include "storm/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <thread>
 
 #include "agg/agg.h"
@@ -13,136 +11,19 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "faultz/faultz.h"
+#include "storm/node_runner.h"
 
 namespace adv::storm {
 
 namespace {
 
-// Per-worker output: extraction counters, shipping accounting, and any
-// failure, written lock-free by exactly one worker and merged by the node
-// after the joins.  Errors travel as strings, not exceptions — an
-// exception object rethrown across threads would be shared mutable state.
-struct WorkerStats {
-  codegen::ExtractStats extract;
-  uint64_t bytes_sent = 0;
-  double transfer_seconds = 0;
-  uint64_t io_retries = 0;
-  std::string error;
-  ErrorKind error_kind = ErrorKind::kNone;
-};
-
-// Sink that partitions matched rows into per-consumer pending batches and
-// ships full batches through the data mover.  Rows land in a batch
-// directly from the extractor's decode buffer — no intermediate table or
-// row copy.  One instance per worker; the only cross-worker state it
-// touches is the mover's channel, which is internally synchronized.
-class PartitionSink final : public codegen::RowSink {
- public:
-  PartitionSink(int node, std::size_t ncols, int nconsumers,
-                const PartitionGenerationService& partsvc,
-                DataMoverService& mover, std::size_t batch_rows,
-                WorkerStats& ws, const CancelToken* cancel)
-      : node_(node),
-        ncols_(ncols),
-        partsvc_(partsvc),
-        mover_(mover),
-        batch_rows_(batch_rows),
-        ws_(ws),
-        cancel_(cancel),
-        pending_(static_cast<std::size_t>(nconsumers)) {
-    for (int c = 0; c < nconsumers; ++c) reset(c);
-  }
-
-  // Scan-position sequence of the next AFC's first row.  Also marks the
-  // current pending-batch fill levels so a failed extraction of this AFC
-  // can be rolled back (see rollback_afc).
-  void begin_afc(uint64_t base_seq) {
-    base_seq_ = base_seq;
-    for (std::size_t c = 0; c < pending_.size(); ++c)
-      mark_[c] = pending_[c].data.size();
-    flushed_since_mark_ = false;
-  }
-
-  // Discards rows buffered since the last begin_afc, making an IoError
-  // retry of that AFC safe (re-extraction cannot duplicate rows).  Returns
-  // false when any batch was already shipped since the mark — those rows
-  // are beyond recall, so the caller must NOT retry and must fail instead.
-  bool rollback_afc() {
-    if (flushed_since_mark_) return false;
-    for (std::size_t c = 0; c < pending_.size(); ++c)
-      pending_[c].data.resize(mark_[c]);
-    return true;
-  }
-
-  void on_row(const double* vals, uint64_t scan_index) override {
-    int dest = partsvc_.destination(vals, base_seq_ + scan_index);
-    RowBatch& b = pending_[static_cast<std::size_t>(dest)];
-    b.data.insert(b.data.end(), vals, vals + ncols_);
-    if (b.num_rows() >= batch_rows_) flush(dest);
-  }
-
-  // Bulk path for the vector kernel.  With a single consumer every
-  // row has destination 0, so the whole batch lands in one insert; with
-  // multiple consumers rows route individually (destinations depend on row
-  // content / sequence), preserving on_row semantics exactly.
-  void on_rows(const double* rows, std::size_t ncols, std::size_t nrows,
-               const uint64_t* scan_index) override {
-    if (pending_.size() == 1 &&
-        partsvc_.spec().policy == PartitionSpec::Policy::kSingle) {
-      RowBatch& b = pending_[0];
-      b.data.insert(b.data.end(), rows, rows + nrows * ncols);
-      if (b.num_rows() >= batch_rows_) flush(0);
-      return;
-    }
-    for (std::size_t i = 0; i < nrows; ++i)
-      on_row(rows + i * ncols, scan_index[i]);
-  }
-
-  void flush_all() {
-    for (std::size_t c = 0; c < pending_.size(); ++c)
-      flush(static_cast<int>(c));
-  }
-
- private:
-  void reset(int c) {
-    RowBatch& b = pending_[static_cast<std::size_t>(c)];
-    b = RowBatch{};
-    b.source_node = node_;
-    b.consumer = c;
-    b.num_cols = ncols_;
-  }
-
-  void flush(int c) {
-    RowBatch& b = pending_[static_cast<std::size_t>(c)];
-    if (b.data.empty()) return;
-    flushed_since_mark_ = true;
-    // The row-shipping poll: a cancelled query must not keep feeding the
-    // data-mover channel (whose consumer may be about to stop draining).
-    if (cancel_) cancel_->check();
-    ws_.bytes_sent += b.bytes();
-    ws_.transfer_seconds += mover_.send(std::move(b));
-    reset(c);
-  }
-
-  int node_;
-  std::size_t ncols_;
-  const PartitionGenerationService& partsvc_;
-  DataMoverService& mover_;
-  std::size_t batch_rows_;
-  WorkerStats& ws_;
-  const CancelToken* cancel_;
-  std::vector<RowBatch> pending_;
-  std::vector<std::size_t> mark_ = std::vector<std::size_t>(pending_.size());
-  bool flushed_since_mark_ = false;
-  uint64_t base_seq_ = 0;
-};
-
 // Per-node worker: index -> parallel extract/filter -> partition -> ship.
 // When `pool` is non-null the AFC list is split into contiguous ranges
-// (balanced by row count, ~4 per pool thread) and scanned concurrently;
-// each range worker owns its Extractor and PartitionSink.
-// For pushdown queries `agg_out` (required then) receives the node's
-// serialized partial-aggregate state; no row batches are shipped.
+// (balanced by row count, ~4 per pool thread) and scanned concurrently by
+// the shared node loop (storm/node_runner.h); each range worker owns its
+// Extractor and RangeSink.  For pushdown queries `agg_out` (required then)
+// receives the node's serialized partial-aggregate state; no row batches
+// are shipped.
 void run_node(int node, const codegen::DataServicePlan& plan,
               const expr::BoundQuery& q, const afc::ChunkFilter* filter,
               const PartitionGenerationService& partsvc,
@@ -158,113 +39,10 @@ void run_node(int node, const codegen::DataServicePlan& plan,
     // The try below turns it into a typed per-node error; other nodes are
     // unaffected (that is the graceful-degradation contract under test).
     faultz::maybe_throw_io(faultz::Site::kNodeRun, "storm node worker died");
-    afc::PlanResult planned;
-    if (!preplanned) {
-      afc::PlannerOptions popts;
-      popts.filter = filter;
-      popts.only_node = node;
-      popts.cancel = cancel;
-      planned = plan.index_fn(q, popts);
-    }
-    const afc::PlanResult& pr = preplanned ? *preplanned : planned;
-    const std::size_t nafcs = pr.afcs.size();
-    stats.afcs = nafcs;
-    stats.afcs_pruned = pr.stats.afcs_filtered_by_index;
-    stats.rows_pruned = pr.stats.rows_pruned;
-    stats.bytes_skipped = pr.stats.bytes_skipped;
-
-    std::vector<codegen::GroupBinding> bindings;
-    bindings.reserve(pr.groups.size());
-    for (const auto& g : pr.groups)
-      bindings.push_back(codegen::bind_group(g, q, plan.schema()));
-
-    // Ordering contract: rows are numbered by scan position.  AFC i's rows
-    // start at the prefix sum of earlier AFCs' row counts — a numbering
-    // that is a function of the plan alone, so kRoundRobin/kBlockCyclic
-    // destinations are identical no matter how the list is split across
-    // workers (or whether a predicate drops rows in between).
-    std::vector<uint64_t> base(nafcs + 1, 0);
-    for (std::size_t i = 0; i < nafcs; ++i)
-      base[i + 1] = base[i] + pr.afcs[i].num_rows;
-
-    const std::size_t ncols = q.select_slots().size();
-    const int nconsumers = partsvc.num_consumers();
-    codegen::ExtractorOptions xopts;
-    xopts.io_mode = opts.io_mode;
-    xopts.cancel = cancel;
-    xopts.kernel_mode = opts.kernel_mode;
-
-    // Aggregation / top-k pushdown: workers fold rows into local aggregate
-    // state (one PushdownSink per range worker, merged below) instead of
-    // partitioning and shipping them.  The strategy is chosen once from
-    // the plan's cardinality hints so every worker of this query agrees.
-    const bool pushdown = q.is_pushdown();
-    agg::StrategyChoice agg_choice;
-    if (pushdown && q.has_aggregates())
-      agg_choice = agg::choose_strategy(
-          q, pr, dynamic_cast<const afc::ChunkBoundsSource*>(filter));
-    std::vector<std::unique_ptr<agg::PushdownSink>> psinks;
-
-    auto scan_range = [&](std::size_t lo, std::size_t hi, WorkerStats& ws,
-                          agg::PushdownSink* psink) {
-      try {
-        codegen::Extractor extractor(xopts);
-        std::optional<PartitionSink> part;
-        if (!psink)
-          part.emplace(node, ncols, nconsumers, partsvc, mover,
-                       opts.batch_rows, ws, cancel);
-        codegen::RowSink& sink =
-            psink ? static_cast<codegen::RowSink&>(*psink)
-                  : static_cast<codegen::RowSink&>(*part);
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (cancel) cancel->check();
-          const afc::Afc& a = pr.afcs[i];
-          // Bounded retry for transient read faults, valid only while no
-          // row of this AFC left the sink: begin_afc marks the pending
-          // batches and rollback_afc restores them, so a retried
-          // extraction re-emits the same rows at the same scan positions.
-          // Once a batch shipped, retrying would duplicate rows — the
-          // error propagates instead.  (The pushdown sink buffers the AFC
-          // as an uncommitted delta, so its rollback always succeeds.)
-          for (std::size_t attempt = 0;; ++attempt) {
-            if (psink) psink->begin_afc();
-            else part->begin_afc(base[i]);
-            try {
-              ws.extract += extractor.extract(
-                  pr.groups[static_cast<std::size_t>(a.group)], a,
-                  bindings[static_cast<std::size_t>(a.group)], q, sink);
-              break;
-            } catch (const IoError&) {
-              const bool rolled =
-                  psink ? psink->rollback_afc() : part->rollback_afc();
-              if (attempt >= opts.io_retry_limit || !rolled) throw;
-              ++ws.io_retries;
-              std::this_thread::sleep_for(std::chrono::microseconds(
-                  opts.io_retry_backoff_us << attempt));
-            }
-          }
-        }
-        if (psink) psink->finish();
-        else part->flush_all();
-      } catch (const std::exception& e) {
-        ws.error = e.what();
-        ws.error_kind = classify_error(e);
-      }
-    };
-    auto merge = [&stats](const WorkerStats& ws) {
-      stats.bytes_read += ws.extract.bytes_read;
-      stats.rows_scanned += ws.extract.rows_scanned;
-      stats.rows_matched += ws.extract.rows_matched;
-      stats.bytes_sent += ws.bytes_sent;
-      stats.transfer_seconds += ws.transfer_seconds;
-      stats.io_retries += ws.io_retries;
-      stats.afcs_interp += ws.extract.afcs_interp;
-      stats.afcs_vector += ws.extract.afcs_vector;
-      if (stats.error.empty() && !ws.error.empty()) {
-        stats.error = ws.error;
-        stats.error_kind = ws.error_kind;
-      }
-    };
+    const NodeRunner runner(plan, q, node, preplanned, filter, opts, cancel,
+                            stats);
+    const std::size_t nafcs = runner.num_afcs();
+    const std::vector<uint64_t>& base = runner.row_base();
 
     // The pool is shared by every node worker, so size this node's range
     // fan-out for its *share* of the pool: every node splitting into
@@ -291,72 +69,82 @@ void run_node(int node, const codegen::DataServicePlan& plan,
         ntasks,
         std::max<uint64_t>(1, base[nafcs] / min_rows));
     if (!pool || pool->size() <= 1 || ntasks <= 1) ntasks = 1;
-    if (pushdown)
-      for (std::size_t k = 0; k < ntasks; ++k)
-        psinks.push_back(std::make_unique<agg::PushdownSink>(q, agg_choice));
-    if (ntasks <= 1) {
-      WorkerStats ws;
-      scan_range(0, nafcs, ws, pushdown ? psinks[0].get() : nullptr);
-      merge(ws);
-    } else {
-      // Contiguous ranges cut at balanced row counts, so one heavyweight
-      // AFC doesn't serialize the tail.
-      std::vector<std::size_t> cuts(ntasks + 1, nafcs);
-      cuts[0] = 0;
-      for (std::size_t k = 1; k < ntasks; ++k) {
-        uint64_t target = base[nafcs] / ntasks * k;
-        cuts[k] = static_cast<std::size_t>(
-            std::lower_bound(base.begin(), base.begin() + nafcs, target) -
-            base.begin());
-      }
-      std::vector<WorkerStats> wstats(ntasks);
-      // The pool-level token check makes queued ranges of a cancelled
-      // query return before constructing any per-range state (the ranges
-      // themselves poll per AFC and per batch once running).
-      pool->parallel_for(
-          ntasks,
-          [&](std::size_t k) {
-            scan_range(cuts[k], cuts[k + 1], wstats[k],
-                       pushdown ? psinks[k].get() : nullptr);
-          },
-          cancel);
-      for (const WorkerStats& ws : wstats) merge(ws);
+
+    // Contiguous ranges cut at balanced row counts, so one heavyweight
+    // AFC doesn't serialize the tail.
+    std::vector<std::size_t> cuts(ntasks + 1, nafcs);
+    cuts[0] = 0;
+    for (std::size_t k = 1; k < ntasks; ++k) {
+      uint64_t target = base[nafcs] / ntasks * k;
+      cuts[k] = static_cast<std::size_t>(
+          std::lower_bound(base.begin(), base.begin() + nafcs, target) -
+          base.begin());
     }
+    const ShipFn ship = [&mover](RowBatch& b) {
+      return mover.send(std::move(b));
+    };
+    std::vector<WorkerStats> wstats(ntasks);
+    std::vector<RangeSink> sinks;
+    sinks.reserve(ntasks);
+    for (std::size_t k = 0; k < ntasks; ++k)
+      sinks.push_back(runner.make_sink(node, partsvc, wstats[k], ship));
+    auto scan_range = [&](std::size_t k) {
+      try {
+        runner.scan(cuts[k], cuts[k + 1], sinks[k], wstats[k]);
+      } catch (const std::exception& e) {
+        wstats[k].error = e.what();
+        wstats[k].error_kind = classify_error(e);
+      }
+    };
+    if (ntasks == 1) {
+      scan_range(0);
+    } else {
+      // The pool-level token check makes queued ranges of a cancelled
+      // query return before constructing any per-range extractor (the
+      // ranges themselves poll per AFC and per batch once running).
+      pool->parallel_for(ntasks, scan_range, cancel);
+    }
+    for (const WorkerStats& ws : wstats) add_worker_stats(stats, ws);
 
     // Two-phase merge, phase one: fold every range worker's aggregate
     // state into one per-node state and serialize it — the only bytes
     // that cross the node boundary.  Merging is exact, so the worker
     // order is irrelevant to the final result.
-    if (pushdown && stats.error.empty()) {
+    if (runner.pushdown() && stats.error.empty()) {
       faultz::maybe_throw_io(faultz::Site::kAggMerge,
                              "partial-aggregate merge failed");
-      for (const auto& ps : psinks) {
-        if (!ps->table()) continue;
-        switch (ps->table()->strategy()) {
-          case agg::Strategy::kDense: ++stats.agg_dense; break;
-          case agg::Strategy::kHash: ++stats.agg_hash; break;
-          case agg::Strategy::kRadix: ++stats.agg_radix; break;
-        }
-      }
-      agg::PushdownSink& node_sink = *psinks[0];
-      for (std::size_t k = 1; k < psinks.size(); ++k)
-        psinks[k]->merge_into(node_sink);
-      std::string enc;
-      node_sink.encode(enc);
-      stats.groups_emitted = node_sink.table() ? node_sink.table()->ngroups()
-                                               : node_sink.topk()->nrows();
-      stats.agg_bytes_shipped = enc.size();
-      stats.bytes_sent += enc.size();
+      for (const RangeSink& s : sinks)
+        if (s.agg->table()) count_strategy(stats, s.agg->table()->strategy());
+      for (std::size_t k = 1; k < sinks.size(); ++k)
+        sinks[k].agg->merge_into(*sinks[0].agg);
+      std::string enc = ship_agg_state(*sinks[0].agg, stats);
       if (agg_out) *agg_out = std::move(enc);
     }
-  } catch (const Error& e) {
-    stats.error = e.what();
-    stats.error_kind = classify_error(e);
   } catch (const std::exception& e) {
     stats.error = e.what();
     stats.error_kind = classify_error(e);
   }
   stats.busy_seconds = busy.elapsed_seconds();
+}
+
+// Materializing execution is streaming execution draining into one table
+// per consumer.
+QueryResult execute_into_tables(
+    StormCluster& cluster, const expr::BoundQuery& q,
+    const PartitionSpec& partition, const afc::ChunkFilter* filter,
+    const std::vector<afc::PlanResult>* node_plans, CancelToken* cancel) {
+  std::vector<expr::Table> tables;
+  for (int c = 0; c < std::max(1, partition.num_consumers); ++c)
+    tables.emplace_back(q.result_columns());
+  QueryResult result = cluster.execute_streaming(
+      q,
+      [&](const RowBatch& batch) {
+        tables[static_cast<std::size_t>(batch.consumer)].append_rows(
+            batch.data.data(), batch.num_rows());
+      },
+      partition, filter, node_plans, cancel);
+  result.partitions = std::move(tables);
+  return result;
 }
 
 }  // namespace
@@ -425,19 +213,7 @@ QueryResult StormCluster::execute(const expr::BoundQuery& q,
                                   const PartitionSpec& partition,
                                   const afc::ChunkFilter* filter,
                                   CancelToken* cancel) {
-  // Materializing execution is streaming execution draining into tables.
-  std::vector<expr::Table> tables;
-  for (int c = 0; c < std::max(1, partition.num_consumers); ++c)
-    tables.emplace_back(q.result_columns());
-  QueryResult result = execute_streaming(
-      q,
-      [&](const RowBatch& batch) {
-        tables[static_cast<std::size_t>(batch.consumer)].append_rows(
-            batch.data.data(), batch.num_rows());
-      },
-      partition, filter, nullptr, cancel);
-  result.partitions = std::move(tables);
-  return result;
+  return execute_into_tables(*this, q, partition, filter, nullptr, cancel);
 }
 
 std::vector<afc::PlanResult> StormCluster::plan_nodes(
@@ -445,12 +221,8 @@ std::vector<afc::PlanResult> StormCluster::plan_nodes(
   std::vector<afc::PlanResult> plans;
   const int nodes = num_nodes();
   plans.reserve(static_cast<std::size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    afc::PlannerOptions popts;
-    popts.filter = filter;
-    popts.only_node = n;
-    plans.push_back(plan_->index_fn(q, popts));
-  }
+  for (int n = 0; n < nodes; ++n)
+    plans.push_back(plan_node(*plan_, q, n, filter, nullptr));
   return plans;
 }
 
@@ -459,18 +231,8 @@ QueryResult StormCluster::execute_planned(
     const PartitionSpec& partition, CancelToken* cancel) {
   if (node_plans.size() != static_cast<std::size_t>(num_nodes()))
     throw QueryError("execute_planned: expected one plan per node");
-  std::vector<expr::Table> tables;
-  for (int c = 0; c < std::max(1, partition.num_consumers); ++c)
-    tables.emplace_back(q.result_columns());
-  QueryResult result = execute_streaming(
-      q,
-      [&](const RowBatch& batch) {
-        tables[static_cast<std::size_t>(batch.consumer)].append_rows(
-            batch.data.data(), batch.num_rows());
-      },
-      partition, nullptr, &node_plans, cancel);
-  result.partitions = std::move(tables);
-  return result;
+  return execute_into_tables(*this, q, partition, nullptr, &node_plans,
+                             cancel);
 }
 
 QueryResult StormCluster::execute_streaming(
@@ -503,8 +265,8 @@ QueryResult StormCluster::execute_streaming(
   if (node_plans && node_plans->size() != static_cast<std::size_t>(nodes))
     throw QueryError("execute_streaming: expected one plan per node");
   std::vector<std::string> agg_states(static_cast<std::size_t>(nodes));
-  auto node_body = [&](int n) {
-    run_node(n, *plan_, q, filter, partsvc, mover, opts_, pool,
+  auto node_body = [&](int n, DataMoverService& node_mover) {
+    run_node(n, *plan_, q, filter, partsvc, node_mover, opts_, pool,
              result.node_stats[static_cast<std::size_t>(n)],
              node_plans ? &(*node_plans)[static_cast<std::size_t>(n)]
                         : nullptr,
@@ -530,7 +292,8 @@ QueryResult StormCluster::execute_streaming(
   if (opts_.parallel_nodes) {
     std::vector<std::thread> workers;
     workers.reserve(static_cast<std::size_t>(nodes));
-    for (int n = 0; n < nodes; ++n) workers.emplace_back(node_body, n);
+    for (int n = 0; n < nodes; ++n)
+      workers.emplace_back([&, n] { node_body(n, mover); });
     // Close the channel once every node finished.
     std::thread closer([&] {
       for (auto& w : workers) w.join();
@@ -547,11 +310,7 @@ QueryResult StormCluster::execute_streaming(
       auto ch = std::make_shared<Channel<RowBatch>>(
           std::numeric_limits<std::size_t>::max());
       DataMoverService seq_mover(ch, opts_.transfer);
-      run_node(n, *plan_, q, filter, partsvc, seq_mover, opts_, pool,
-               result.node_stats[static_cast<std::size_t>(n)],
-               node_plans ? &(*node_plans)[static_cast<std::size_t>(n)]
-                          : nullptr,
-               cancel, &agg_states[static_cast<std::size_t>(n)]);
+      node_body(n, seq_mover);
       ch->close();
       while (auto batch = ch->pop()) guarded_sink(*batch);
     }
@@ -567,27 +326,7 @@ QueryResult StormCluster::execute_streaming(
     for (int n = 0; n < nodes; ++n)
       if (result.node_stats[static_cast<std::size_t>(n)].error.empty())
         acc.merge_encoded(agg_states[static_cast<std::size_t>(n)]);
-    const std::vector<double> rows = acc.finalize_rows();
-    const std::size_t out_cols = static_cast<std::size_t>(acc.spec().ncols);
-    std::vector<RowBatch> out(
-        static_cast<std::size_t>(partition.num_consumers));
-    for (std::size_t c = 0; c < out.size(); ++c) {
-      out[c].consumer = static_cast<int>(c);
-      out[c].num_cols = out_cols;
-    }
-    const std::size_t nrows = out_cols ? rows.size() / out_cols : 0;
-    for (std::size_t i = 0; i < nrows; ++i) {
-      const double* row = rows.data() + i * out_cols;
-      const int dest = partsvc.destination(row, i);
-      RowBatch& b = out[static_cast<std::size_t>(dest)];
-      b.data.insert(b.data.end(), row, row + out_cols);
-      if (b.num_rows() >= opts_.batch_rows) {
-        guarded_sink(b);
-        b.data.clear();
-      }
-    }
-    for (RowBatch& b : out)
-      if (!b.data.empty()) guarded_sink(b);
+    emit_final_rows(acc, partsvc, opts_.batch_rows, guarded_sink);
   }
   if (sink_error) std::rethrow_exception(sink_error);
 

@@ -9,6 +9,7 @@
 #include "agg/agg.h"
 #include "common/stopwatch.h"
 #include "sql/ast.h"
+#include "storm/node_runner.h"
 #include "storm/wire.h"
 
 namespace adv::storm {
@@ -107,6 +108,15 @@ void DistCoordinator::run_shard(const std::string& sql,
   std::vector<std::vector<double>> staged(
       static_cast<std::size_t>(nconsumers));
   std::size_t attempts_used = 0;
+  auto commit_staged = [&] {
+    for (std::size_t c = 0; c < staged.size(); ++c) {
+      auto& dst = out.committed[c];
+      dst.insert(dst.end(), staged[c].begin(), staged[c].end());
+      staged[c].clear();
+    }
+    for (auto& d : out.agg_staged) out.agg_committed.push_back(std::move(d));
+    out.agg_staged.clear();
+  };
 
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     attempts_used = attempt + 1;
@@ -224,14 +234,7 @@ void DistCoordinator::run_shard(const std::string& sql,
           out.agg_staged.emplace_back(reinterpret_cast<const char*>(raw), n);
         } else if (type == kProgress) {
           const uint64_t done = p.get<uint64_t>();
-          for (std::size_t c = 0; c < staged.size(); ++c) {
-            auto& dst = out.committed[c];
-            dst.insert(dst.end(), staged[c].begin(), staged[c].end());
-            staged[c].clear();
-          }
-          for (auto& d : out.agg_staged)
-            out.agg_committed.push_back(std::move(d));
-          out.agg_staged.clear();
+          commit_staged();
           committed = done;
           out.committed_afcs = done;
           out.commits++;
@@ -285,14 +288,7 @@ void DistCoordinator::run_shard(const std::string& sql,
           // Defensive: the daemon checkpoints its final AFC before kEnd,
           // so staging should be empty — but a complete stream is a
           // commit point by definition.
-          for (std::size_t c = 0; c < staged.size(); ++c) {
-            auto& dst = out.committed[c];
-            dst.insert(dst.end(), staged[c].begin(), staged[c].end());
-            staged[c].clear();
-          }
-          for (auto& d : out.agg_staged)
-            out.agg_committed.push_back(std::move(d));
-          out.agg_staged.clear();
+          commit_staged();
           return;
         } else if (type == kError) {
           // The daemon's own verdict on the query.  Retryable kinds
@@ -346,27 +342,56 @@ DistResult DistCoordinator::run(const std::string& sql) const {
   for (auto& t : gather) t.join();
 
   DistResult r;
-  std::size_t ncols = opts_.result_columns.size();
+  // Every shard must announce the width the first surviving shard did:
+  // row batches are appended at the agreed width, so a shard serving a
+  // different schema would be read past its end.  It fails here, typed
+  // and non-retryable (another replica of a misconfigured shard map
+  // announces the same width).
+  const ShardOutcome* first = nullptr;
+  int first_node = 0;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    ShardOutcome& o = outs[i];
+    if (o.failed) continue;
+    if (!first) {
+      first = &o;
+      first_node = shards_[i].node_id;
+      continue;
+    }
+    if (o.ncols == first->ncols) continue;
+    o.failed = true;
+    o.casualty = {shards_[i].node_id, ErrorKind::kValidation,
+                  "node " + std::to_string(shards_[i].node_id) +
+                      " announced " + std::to_string(o.ncols) +
+                      " output columns, but node " +
+                      std::to_string(first_node) + " announced " +
+                      std::to_string(first->ncols) +
+                      " (shards of one dataset must serve the same schema)",
+                  o.failovers + 1, o.committed_afcs};
+  }
+  // Name the columns as the daemons announced them (kNodeHello tail):
+  // SELECT * top-k needs real attribute names to resolve its ORDER BY
+  // keys.  Older daemons send none; columns are then c0..cN-1.
+  const std::size_t ncols = first ? first->ncols : 0;
+  const std::vector<std::string> names =
+      first ? first->col_names : std::vector<std::string>{};
+  auto empty_partitions = [&](std::size_t width) {
+    std::vector<expr::Table::Column> cols;
+    for (std::size_t c = 0; c < width; ++c)
+      cols.push_back({names.size() == width ? names[c] : "c" + std::to_string(c),
+                      DataType::kFloat64});
+    r.partitions.assign(
+        static_cast<std::size_t>(opts_.partition.num_consumers),
+        expr::Table(cols));
+  };
   for (const auto& o : outs) {
     r.failovers += o.failovers;
     r.straggler_reissues += o.straggler_reissues;
     r.commits += o.commits;
-    if (!o.failed && ncols == 0) ncols = o.ncols;
+    if (o.failed)
+      r.casualties.push_back(o.casualty);
+    else if (o.have_stats)
+      r.node_stats.push_back(o.stats);
   }
-  std::vector<expr::Table::Column> cols = opts_.result_columns;
-  if (cols.empty()) {
-    // Prefer the daemon-announced names (kNodeHello tail): SELECT *
-    // top-k needs real attribute names to resolve its ORDER BY keys.
-    for (const auto& o : outs)
-      if (!o.failed && o.col_names.size() == ncols) {
-        for (const auto& n : o.col_names)
-          cols.push_back({n, DataType::kFloat64});
-        break;
-      }
-  }
-  if (cols.empty())
-    for (std::size_t c = 0; c < ncols; ++c)
-      cols.push_back({"c" + std::to_string(c), DataType::kFloat64});
 
   // Merge in shard-map (node) order, so the gathered tables are a
   // deterministic function of the per-node row streams — independent of
@@ -378,24 +403,11 @@ DistResult DistCoordinator::run(const std::string& sql) const {
     // out (partial results = aggregates over the surviving shards).  The
     // final rows are partitioned by output row index, matching the
     // in-process cluster bit for bit.
-    std::vector<std::string> names;
-    names.reserve(cols.size());
-    for (const auto& c : cols) names.push_back(c.name);
     agg::MergeAcc acc(agg::finalize_spec(sq, names));
-    for (auto& o : outs) {
-      if (o.failed) {
-        r.casualties.push_back(o.casualty);
-        continue;
-      }
-      for (const auto& d : o.agg_committed) acc.merge_encoded(d);
-      if (o.have_stats) r.node_stats.push_back(o.stats);
-    }
+    for (const auto& o : outs)
+      if (!o.failed)
+        for (const auto& d : o.agg_committed) acc.merge_encoded(d);
     const std::size_t fncols = static_cast<std::size_t>(acc.spec().ncols);
-    if (cols.size() != fncols) {
-      cols.clear();
-      for (std::size_t c = 0; c < fncols; ++c)
-        cols.push_back({"c" + std::to_string(c), DataType::kFloat64});
-    }
     if ((opts_.partition.policy == PartitionSpec::Policy::kHashAttr ||
          opts_.partition.policy == PartitionSpec::Policy::kRangeAttr) &&
         (opts_.partition.select_index < 0 ||
@@ -403,32 +415,19 @@ DistResult DistCoordinator::run(const std::string& sql) const {
       throw ValidationError(
           "partition select_index out of range for the query's " +
           std::to_string(fncols) + " output columns");
-    r.partitions.assign(
-        static_cast<std::size_t>(opts_.partition.num_consumers),
-        expr::Table(cols));
-    const std::vector<double> rows = acc.finalize_rows();
-    const PartitionGenerationService partsvc(opts_.partition);
-    const std::size_t nrows = fncols ? rows.size() / fncols : 0;
-    for (std::size_t i = 0; i < nrows; ++i) {
-      const double* row = rows.data() + i * fncols;
-      const int dest = partsvc.destination(row, i);
-      r.partitions[static_cast<std::size_t>(dest)].append_rows(row, 1);
-    }
+    empty_partitions(fncols);
+    emit_final_rows(acc, PartitionGenerationService(opts_.partition),
+                    ClusterOptions().batch_rows, [&r](const RowBatch& b) {
+                      r.partitions[static_cast<std::size_t>(b.consumer)]
+                          .append_rows(b.data.data(), b.num_rows());
+                    });
   } else {
-    r.partitions.assign(
-        static_cast<std::size_t>(opts_.partition.num_consumers),
-        expr::Table(cols));
-    for (auto& o : outs) {
-      if (o.failed) {
-        r.casualties.push_back(o.casualty);
-        continue;
-      }
-      for (std::size_t c = 0; c < o.committed.size(); ++c)
+    empty_partitions(ncols);
+    for (const auto& o : outs)
+      for (std::size_t c = 0; !o.failed && c < o.committed.size(); ++c)
         if (!o.committed[c].empty())
           r.partitions[c].append_rows(o.committed[c].data(),
-                                      o.committed[c].size() / o.ncols);
-      if (o.have_stats) r.node_stats.push_back(o.stats);
-    }
+                                      o.committed[c].size() / ncols);
   }
   r.wall_seconds = sw.elapsed_seconds();
 

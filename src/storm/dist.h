@@ -85,11 +85,6 @@ struct DistOptions {
   // returns, and fail typed if not).
   std::size_t max_attempts_per_shard = 0;
   bool allow_partial_results = false;
-  // Result column metadata for the gathered tables.  Optional: when
-  // empty, columns are synthesized as c0..cN-1 from the daemon's
-  // announced width (values, and therefore differential comparisons, are
-  // unaffected).
-  std::vector<expr::Table::Column> result_columns;
 
   // Test/chaos hooks, called from gather threads (keep them cheap and
   // thread-safe).  on_commit fires after AFC prefix `committed` of

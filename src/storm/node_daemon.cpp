@@ -13,10 +13,10 @@
 #include <thread>
 
 #include "agg/agg.h"
-#include "common/env.h"
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "faultz/faultz.h"
+#include "storm/node_runner.h"
 #include "storm/wire.h"
 
 namespace adv::storm {
@@ -45,107 +45,6 @@ uint64_t plan_fingerprint(const afc::PlanResult& pr) {
   }
   return h;
 }
-
-// Partitions matched rows into per-consumer pending batches and ships full
-// batches as kRowBatch frames.  Mirrors the in-process PartitionSink —
-// same scan-position numbering, same begin/rollback retry contract — with
-// the data-mover channel replaced by the socket (sends serialized with the
-// heartbeat thread via `send_mu`).
-class WireSink final : public codegen::RowSink {
- public:
-  WireSink(int fd, std::mutex& send_mu, std::size_t ncols, int nconsumers,
-           const PartitionGenerationService& partsvc, std::size_t batch_rows,
-           std::atomic<uint64_t>& rows_shipped, const CancelToken* cancel)
-      : fd_(fd),
-        send_mu_(send_mu),
-        ncols_(ncols),
-        partsvc_(partsvc),
-        batch_rows_(batch_rows),
-        rows_shipped_(rows_shipped),
-        cancel_(cancel),
-        pending_(static_cast<std::size_t>(nconsumers)),
-        mark_(static_cast<std::size_t>(nconsumers)) {
-    for (auto& b : pending_) b.reserve(batch_rows_ * ncols_);
-  }
-
-  uint64_t bytes_sent() const { return bytes_sent_; }
-
-  void begin_afc(uint64_t base_seq) {
-    base_seq_ = base_seq;
-    for (std::size_t c = 0; c < pending_.size(); ++c)
-      mark_[c] = pending_[c].size();
-    flushed_since_mark_ = false;
-  }
-
-  // Same no-duplicate-rows contract as the in-process sink: false once any
-  // batch left for the socket since the mark — those rows are beyond
-  // recall, so the caller must fail (and the coordinator's commit protocol
-  // takes over recovery).
-  bool rollback_afc() {
-    if (flushed_since_mark_) return false;
-    for (std::size_t c = 0; c < pending_.size(); ++c)
-      pending_[c].resize(mark_[c]);
-    return true;
-  }
-
-  void on_row(const double* vals, uint64_t scan_index) override {
-    int dest = partsvc_.destination(vals, base_seq_ + scan_index);
-    auto& b = pending_[static_cast<std::size_t>(dest)];
-    b.insert(b.end(), vals, vals + ncols_);
-    if (b.size() >= batch_rows_ * ncols_) flush(dest);
-  }
-
-  void on_rows(const double* rows, std::size_t ncols, std::size_t nrows,
-               const uint64_t* scan_index) override {
-    if (pending_.size() == 1 &&
-        partsvc_.spec().policy == PartitionSpec::Policy::kSingle) {
-      auto& b = pending_[0];
-      b.insert(b.end(), rows, rows + nrows * ncols);
-      if (b.size() >= batch_rows_ * ncols_) flush(0);
-      return;
-    }
-    for (std::size_t i = 0; i < nrows; ++i)
-      on_row(rows + i * ncols, scan_index[i]);
-  }
-
-  void flush_all() {
-    for (std::size_t c = 0; c < pending_.size(); ++c)
-      flush(static_cast<int>(c));
-  }
-
- private:
-  void flush(int c) {
-    auto& b = pending_[static_cast<std::size_t>(c)];
-    if (b.empty()) return;
-    flushed_since_mark_ = true;
-    if (cancel_) cancel_->check();
-    Payload batch;
-    batch.put<uint16_t>(static_cast<uint16_t>(c));
-    batch.put<uint32_t>(static_cast<uint32_t>(b.size() / ncols_));
-    batch.put<uint16_t>(static_cast<uint16_t>(ncols_));
-    batch.put_bytes(b.data(), b.size() * sizeof(double));
-    {
-      std::lock_guard<std::mutex> lk(send_mu_);
-      send_frame(fd_, kRowBatch, batch);
-    }
-    bytes_sent_ += b.size() * sizeof(double);
-    rows_shipped_.fetch_add(b.size() / ncols_, std::memory_order_relaxed);
-    b.clear();
-  }
-
-  int fd_;
-  std::mutex& send_mu_;
-  std::size_t ncols_;
-  const PartitionGenerationService& partsvc_;
-  std::size_t batch_rows_;
-  std::atomic<uint64_t>& rows_shipped_;
-  const CancelToken* cancel_;
-  std::vector<std::vector<double>> pending_;
-  std::vector<std::size_t> mark_;
-  bool flushed_since_mark_ = false;
-  uint64_t base_seq_ = 0;
-  uint64_t bytes_sent_ = 0;
-};
 
 void put_node_stats(Payload& p, const NodeStats& ns) {
   p.put<int32_t>(ns.node_id);
@@ -377,16 +276,9 @@ void NodeDaemon::serve_scatter(Connection* conn) {
 
       // ---- Node-local planning (zone-map pruning included). -----------
       expr::BoundQuery q = plan_->bind(sql);
-      afc::PlannerOptions popts;
-      popts.filter = opts_.filter;
-      popts.only_node = opts_.node_id;
-      popts.cancel = &token;
-      afc::PlanResult pr = plan_->index_fn(q, popts);
-      const std::size_t nafcs = pr.afcs.size();
-      stats.afcs = nafcs;
-      stats.afcs_pruned = pr.stats.afcs_filtered_by_index;
-      stats.rows_pruned = pr.stats.rows_pruned;
-      stats.bytes_skipped = pr.stats.bytes_skipped;
+      const NodeRunner runner(*plan_, q, opts_.node_id, nullptr, opts_.filter,
+                              opts_.cluster, &token, stats);
+      const std::size_t nafcs = runner.num_afcs();
 
       if (start_afc > nafcs)
         throw QueryError("resume point " + std::to_string(start_afc) +
@@ -404,7 +296,7 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       Payload hello;
       hello.put<uint32_t>(static_cast<uint32_t>(opts_.node_id));
       hello.put<uint64_t>(nafcs);
-      hello.put<uint64_t>(plan_fingerprint(pr));
+      hello.put<uint64_t>(plan_fingerprint(runner.plan()));
       hello.put<uint16_t>(static_cast<uint16_t>(ncols));
       // Optional tail: the output column names, so a schema-less
       // coordinator can name its gathered tables and resolve ORDER BY
@@ -439,31 +331,23 @@ void NodeDaemon::serve_scatter(Connection* conn) {
         }
       });
 
-      // ---- Extraction: deterministic plan order, checkpointed. --------
-      std::vector<codegen::GroupBinding> bindings;
-      bindings.reserve(pr.groups.size());
-      for (const auto& g : pr.groups)
-        bindings.push_back(codegen::bind_group(g, q, plan_->schema()));
-
-      std::vector<uint64_t> base(nafcs + 1, 0);
-      for (std::size_t i = 0; i < nafcs; ++i)
-        base[i + 1] = base[i] + pr.afcs[i].num_rows;
-
-      codegen::ExtractorOptions xopts;
-      xopts.io_mode = opts_.cluster.io_mode;
-      xopts.cancel = &token;
-      xopts.kernel_mode = opts_.cluster.kernel_mode;
-      codegen::Extractor extractor(xopts);
+      // ---- Extraction: the shared node loop, one range, checkpointed. --
       PartitionGenerationService partsvc(part);
-      WireSink sink(fd, send_mu, ncols, part.num_consumers, partsvc,
-                    opts_.cluster.batch_rows, rows_shipped, &token);
-      std::optional<agg::StrategyChoice> agg_choice;
-      std::unique_ptr<agg::PushdownSink> psink;
-      if (pushdown) {
-        agg_choice = agg::choose_strategy(
-            q, pr, dynamic_cast<const afc::ChunkBoundsSource*>(opts_.filter));
-        psink = std::make_unique<agg::PushdownSink>(q, *agg_choice);
-      }
+      WorkerStats ws;
+      RangeSink sink = runner.make_sink(opts_.node_id, partsvc, ws,
+                                        [&](RowBatch& b) {
+        Payload batch;
+        batch.put<uint16_t>(static_cast<uint16_t>(b.consumer));
+        batch.put<uint32_t>(static_cast<uint32_t>(b.num_rows()));
+        batch.put<uint16_t>(static_cast<uint16_t>(b.num_cols));
+        batch.put_bytes(b.data.data(), b.bytes());
+        {
+          std::lock_guard<std::mutex> lk(send_mu);
+          send_frame(fd, kRowBatch, batch);
+        }
+        rows_shipped.fetch_add(b.num_rows(), std::memory_order_relaxed);
+        return 0.0;
+      });
       // Pushdown checkpoint cadence: aggregate state is O(groups), so the
       // default is a single delta at the end; a coordinator that wants
       // finer failover granularity requests it via the kNodeQuery tail.
@@ -472,50 +356,40 @@ void NodeDaemon::serve_scatter(Connection* conn) {
                           ? agg_checkpoint_afcs
                           : (nafcs > 0 ? static_cast<uint64_t>(nafcs) : 1))
                    : checkpoint_afcs;
-      uint64_t agg_bytes = 0, agg_groups = 0;
-      agg::Strategy agg_strat = agg::Strategy::kDense;
-      bool agg_strat_seen = false;
+      std::optional<agg::Strategy> agg_strat;  // the widest window's
 
-      codegen::ExtractStats xstats;
+      // Commit point: every row of AFCs [0, done_afcs) leaves before
+      // kProgress(done_afcs); a pushdown window leaves as one kAggBatch
+      // delta.
       auto checkpoint = [&](std::size_t done_afcs) {
-        Payload prog;
+        Payload ab, prog;
         prog.put<uint64_t>(done_afcs);
-        if (psink) {
+        if (pushdown) {
           // The dist tier's partial-aggregate hand-off; kAggMerge makes a
           // daemon dying right here reproducible (the chaos harness
           // asserts the failover replica never double-counts the window).
           faultz::maybe_throw_io(faultz::Site::kAggMerge,
                                  "partial-aggregate merge failed");
-          psink->finish();
-          if (const agg::AggTable* t = psink->table()) {
-            agg_groups += t->ngroups();
-            if (!agg_strat_seen || t->strategy() > agg_strat)
-              agg_strat = t->strategy();
-            agg_strat_seen = true;
-          } else {
-            agg_groups += psink->topk()->nrows();
-          }
-          std::string delta;
-          psink->encode(delta);
+          sink.finish();
+          if (const agg::AggTable* t = sink.agg->table())
+            agg_strat = std::max(agg_strat.value_or(t->strategy()),
+                                 t->strategy());
+          const std::string delta = ship_agg_state(*sink.agg, stats);
           // Fresh sink: the next window's state is a pure delta, so the
           // coordinator's commit-or-discard staging is exact.
-          psink = std::make_unique<agg::PushdownSink>(q, *agg_choice);
-          agg_bytes += delta.size();
-          Payload ab;
+          sink.agg = runner.make_agg_sink();
           ab.put<uint64_t>(delta.size());
           ab.put_bytes(delta.data(), delta.size());
-          std::lock_guard<std::mutex> lk(send_mu);
-          send_frame(fd, kAggBatch, ab);
-          send_frame(fd, kProgress, prog);
-          return;
+        } else {
+          sink.finish();
         }
-        sink.flush_all();
         std::lock_guard<std::mutex> lk(send_mu);
+        if (pushdown) send_frame(fd, kAggBatch, ab);
         send_frame(fd, kProgress, prog);
       };
 
-      for (std::size_t i = start_afc; i < nafcs; ++i) {
-        token.check();
+      NodeRunner::AfcHook hook;
+      hook.before = [&](std::size_t i) {
         afcs_started.store(i + 1, std::memory_order_relaxed);
         if (opts_.stall_after_afcs > 0 &&
             i - start_afc == opts_.stall_after_afcs) {
@@ -530,50 +404,16 @@ void NodeDaemon::serve_scatter(Connection* conn) {
             std::this_thread::sleep_for(std::chrono::milliseconds(10));
           }
         }
-        const afc::Afc& a = pr.afcs[i];
-        // Same bounded transient-read retry as the in-process node runner,
-        // valid only while no row of this AFC left for the socket.
-        for (std::size_t attempt = 0;; ++attempt) {
-          if (psink)
-            psink->begin_afc();
-          else
-            sink.begin_afc(base[i]);
-          try {
-            xstats += extractor.extract(
-                pr.groups[static_cast<std::size_t>(a.group)], a,
-                bindings[static_cast<std::size_t>(a.group)], q,
-                psink ? static_cast<codegen::RowSink&>(*psink) : sink);
-            break;
-          } catch (const IoError&) {
-            if (attempt >= opts_.cluster.io_retry_limit ||
-                !(psink ? psink->rollback_afc() : sink.rollback_afc()))
-              throw;
-            ++stats.io_retries;
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                opts_.cluster.io_retry_backoff_us << attempt));
-          }
-        }
+      };
+      hook.after = [&](std::size_t i) {
         if ((i + 1 - start_afc) % ckpt_window == 0 || i + 1 == nafcs)
           checkpoint(i + 1);
-      }
+      };
+      runner.scan(start_afc, nafcs, sink, ws, &hook);
       if (start_afc == nafcs) checkpoint(nafcs);  // nothing left to ship
 
-      stats.bytes_read = xstats.bytes_read;
-      stats.rows_scanned = xstats.rows_scanned;
-      stats.rows_matched = xstats.rows_matched;
-      stats.afcs_interp = xstats.afcs_interp;
-      stats.afcs_vector = xstats.afcs_vector;
-      stats.bytes_sent = pushdown ? agg_bytes : sink.bytes_sent();
-      stats.groups_emitted = agg_groups;
-      stats.agg_bytes_shipped = agg_bytes;
-      if (pushdown && agg_strat_seen) {
-        if (agg_strat == agg::Strategy::kDense)
-          ++stats.agg_dense;
-        else if (agg_strat == agg::Strategy::kHash)
-          ++stats.agg_hash;
-        else
-          ++stats.agg_radix;
-      }
+      add_worker_stats(stats, ws);
+      if (agg_strat) count_strategy(stats, *agg_strat);
       stats.busy_seconds = busy.elapsed_seconds();
 
       stop_heartbeat();

@@ -8,7 +8,9 @@
 // storm/wire.h): local planning with zone-map pruning, local extraction
 // through the kernel loop (vector, or the interp reference), partition
 // generation, and row shipping all run inside the daemon, so a `kill -9`
-// of one daemon takes down exactly one shard.
+// of one daemon takes down exactly one shard.  The scan is the in-process
+// cluster's node loop (storm/node_runner.h) run as one range worker; its
+// per-AFC hook publishes progress and cuts the checkpoints below.
 //
 // Failover contract (the part the chaos harness leans on):
 //   * The daemon scans its AFC list in deterministic plan order and sends

@@ -113,7 +113,8 @@ class PartitionGenerationService {
 
   // Destination consumer of a row (values in SELECT order).  `row_seq` is
   // the row's scan-position sequence within its node — the prefix-sum
-  // numbering assigned by run_node — so kRoundRobin/kBlockCyclic deal by
+  // numbering assigned by the node loop (storm/node_runner.h), in-process
+  // and in node daemons alike — so kRoundRobin/kBlockCyclic deal by
   // scan position and a row's destination is invariant to how many
   // extraction workers the node uses.  Stateless and safe to call from
   // any number of threads.

@@ -16,8 +16,10 @@
 
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
+#include "storm/dist.h"
 #include "storm/net.h"
 #include "storm/node_daemon.h"
+#include "zonemap/zonemap.h"
 
 namespace adv::storm {
 namespace {
@@ -772,6 +774,107 @@ TEST(ProtocolInteropTest, RetryAfterHintTravelsInStatsTail) {
   RemoteResult r = client.execute("SELECT REL FROM IparsData WHERE TIME = 1");
   EXPECT_TRUE(r.sched.valid);
   EXPECT_EQ(r.sched.retry_after_hint_seconds, 0.0);
+}
+
+// Shards whose datasets disagree on the schema announce different output
+// widths in kNodeHello.  The gather appends every shard's rows at one
+// agreed width, so the odd shard must fail typed — never be read at the
+// wrong width.
+TEST(DistGatherTest, ShardWithOtherWidthFailsTyped) {
+  TempDir tmp{"net-width"};
+  std::vector<std::shared_ptr<codegen::DataServicePlan>> plans;
+  for (int pad : {6, 0}) {
+    dataset::IparsConfig c = NetFixture::make_cfg();
+    c.pad_vars = pad;
+    dataset::GeneratedIpars gen = dataset::generate_ipars(
+        c, dataset::IparsLayout::kV, tmp.str() + "/pad" + std::to_string(pad));
+    plans.push_back(std::make_shared<codegen::DataServicePlan>(
+        meta::parse_descriptor(gen.descriptor_text), gen.dataset_name,
+        gen.root));
+  }
+  NodeDaemonOptions n0, n1;
+  n0.node_id = 0;
+  n1.node_id = 1;
+  NodeDaemon d0(plans[0], n0), d1(plans[1], n1);
+  const std::vector<ShardConfig> shards = {
+      {0, {{"127.0.0.1", d0.port()}}}, {1, {{"127.0.0.1", d1.port()}}}};
+  const char* sql = "SELECT * FROM IparsData";
+
+  try {
+    DistCoordinator(shards, DistOptions{}).run(sql);
+    FAIL() << "expected ValidationError";
+  } catch (const ValidationError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("node 1 announced 10 output columns"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("node 0 announced 16"), std::string::npos) << msg;
+  }
+
+  DistOptions partial;
+  partial.allow_partial_results = true;
+  DistResult r = DistCoordinator(shards, partial).run(sql);
+  ASSERT_EQ(r.casualties.size(), 1u);
+  EXPECT_EQ(r.casualties[0].node_id, 1);
+  EXPECT_EQ(r.casualties[0].kind, ErrorKind::kValidation);
+  EXPECT_EQ(r.failed_nodes(), std::vector<int>{1});
+  // Node 0's rows survive, at node 0's width.
+  ASSERT_EQ(r.merged().columns().size(), 16u);
+  QueryResult local = StormCluster(plans[0]).execute(sql);
+  EXPECT_GT(r.total_rows(), 0u);
+  EXPECT_EQ(r.total_rows(), local.node_stats[0].rows_matched);
+}
+
+// In-process nodes and node daemons run one node loop, so one plan must
+// produce the same per-node counters through both backends.
+TEST(NodeStatsParityTest, InProcessAndDaemonCountersAgree) {
+  NetFixture f;
+  const zonemap::ZoneMap zm = zonemap::ZoneMap::build(*f.plan);
+  ClusterOptions copts;
+  copts.threads_per_node = 1;
+  StormCluster cluster(f.plan, copts);
+  std::vector<std::unique_ptr<NodeDaemon>> daemons;
+  std::vector<ShardConfig> shards;
+  for (int n = 0; n < f.cfg.nodes; ++n) {
+    NodeDaemonOptions nopts;
+    nopts.node_id = n;
+    nopts.cluster = copts;
+    nopts.filter = &zm;
+    daemons.push_back(std::make_unique<NodeDaemon>(f.plan, nopts));
+    shards.push_back({n, {{"127.0.0.1", daemons.back()->port()}}});
+  }
+  DistCoordinator coord(shards, DistOptions{});
+
+  for (const char* sql :
+       {"SELECT * FROM IparsData WHERE SOIL > 0.1",
+        "SELECT REL, COUNT(*), SUM(SOIL) FROM IparsData GROUP BY REL"}) {
+    SCOPED_TRACE(sql);
+    QueryResult local = cluster.execute(sql, {}, &zm);
+    ASSERT_EQ(local.first_error(), "");
+    DistResult dist = coord.run(sql);
+    ASSERT_EQ(local.node_stats.size(), dist.node_stats.size());
+    EXPECT_TRUE(local.merged().same_rows(dist.merged()));
+    for (std::size_t n = 0; n < local.node_stats.size(); ++n) {
+      const NodeStats& a = local.node_stats[n];
+      const NodeStats& b = dist.node_stats[n];
+      SCOPED_TRACE("node " + std::to_string(n));
+      EXPECT_EQ(a.node_id, b.node_id);
+      EXPECT_GT(a.afcs, 0u);
+      EXPECT_EQ(a.afcs, b.afcs);
+      EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+      EXPECT_EQ(a.rows_matched, b.rows_matched);
+      EXPECT_EQ(a.bytes_read, b.bytes_read);
+      EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+      EXPECT_EQ(a.afcs_pruned, b.afcs_pruned);
+      EXPECT_EQ(a.rows_pruned, b.rows_pruned);
+      EXPECT_EQ(a.bytes_skipped, b.bytes_skipped);
+      EXPECT_EQ(a.groups_emitted, b.groups_emitted);
+      EXPECT_EQ(a.agg_bytes_shipped, b.agg_bytes_shipped);
+      EXPECT_EQ(a.agg_dense, b.agg_dense);
+      EXPECT_EQ(a.agg_hash, b.agg_hash);
+      EXPECT_EQ(a.agg_radix, b.agg_radix);
+    }
+  }
 }
 
 }  // namespace
