@@ -22,7 +22,8 @@
 #      the whole tree, running the fast test tier (ctest --preset
 #      fast-asan) so every layout family / extraction / join path is
 #      checked for heap errors and UB on each verify, plus one --dist
-#      differential seed through in-process node daemons
+#      differential seed through in-process node daemons and one seed
+#      each of the io and agg fault campaigns
 #   6. bench_check.sh — scan/pruning/plan-cache/served-query/serving-cache
 #      throughput vs the committed BENCH_micro.json (a BENCH_CHECK_TOLERANCE
 #      rows_per_sec or queries_per_sec regression, or any
@@ -124,6 +125,11 @@ if [[ "${VERIFY_SKIP_ASAN:-0}" != "1" ]]; then
   # through in-process node daemons: the daemon scan loop and the
   # coordinator's frame decoding under ASan/UBSan.
   ./build-asan/tools/adv_fuzz --seed 101 --seeds 1 --dist >/dev/null
+  # One seed of the io and agg fault campaigns: pread faults roll an AFC
+  # back mid-fold (PushdownSink::rollback_afc), and agg.merge faults drive
+  # the partial-state merge paths.
+  ./build-asan/tools/adv_fuzz --seed 101 --campaign io >/dev/null
+  ./build-asan/tools/adv_fuzz --seed 101 --campaign agg >/dev/null
 fi
 
 if [[ "${VERIFY_SKIP_BENCH:-0}" != "1" ]]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -83,54 +84,138 @@ ExactSum decode_sum(Reader& r) {
     if (idx >= ExactSum::kLimbs)
       throw QueryError("malformed aggregate state: limb index out of range");
     s.limb[idx] = r.le<int64_t>();
+    // Encoded limbs are normalized; ExactSum::merge relies on it.
+    if (idx < ExactSum::kLimbs - 1 &&
+        (s.limb[idx] < 0 || s.limb[idx] > int64_t{0xffffffff}))
+      throw QueryError("malformed aggregate state: limb not normalized");
   }
   return s;
 }
 
-void encode_item(std::string& out, sql::AggFn fn, const ItemState& st) {
-  switch (fn) {
+void encode_item(std::string& out, const ItemColumn& c, std::size_t g) {
+  switch (c.fn) {
     case sql::AggFn::kCount:
-      put_le<uint64_t>(out, st.count);
+      put_le<uint64_t>(out, c.count[g]);
       break;
     case sql::AggFn::kSum:
-      encode_sum(out, st.sum);
+      encode_sum(out, c.sum[g]);
       break;
     case sql::AggFn::kAvg:
-      put_le<uint64_t>(out, st.count);
-      encode_sum(out, st.sum);
+      put_le<uint64_t>(out, c.count[g]);
+      encode_sum(out, c.sum[g]);
       break;
     case sql::AggFn::kMin:
     case sql::AggFn::kMax:
-      put_u8(out, st.mm_seen ? 1 : 0);
-      put_le<double>(out, st.mm);
+      put_u8(out, c.seen[g]);
+      put_le<double>(out, c.mm[g]);
       break;
     case sql::AggFn::kNone:
       throw InternalError("encode_item on a non-aggregate select item");
   }
 }
 
-ItemState decode_item(Reader& r, sql::AggFn fn) {
-  ItemState st;
-  switch (fn) {
+// Decodes one item state and merges it into group g of `c`.
+void merge_decoded_item(Reader& r, ItemColumn& c, std::size_t g) {
+  switch (c.fn) {
     case sql::AggFn::kCount:
-      st.count = r.le<uint64_t>();
+      c.count[g] += r.le<uint64_t>();
       break;
     case sql::AggFn::kSum:
-      st.sum = decode_sum(r);
+      c.sum[g].merge(decode_sum(r));
       break;
     case sql::AggFn::kAvg:
-      st.count = r.le<uint64_t>();
-      st.sum = decode_sum(r);
+      c.count[g] += r.le<uint64_t>();
+      c.sum[g].merge(decode_sum(r));
       break;
     case sql::AggFn::kMin:
-    case sql::AggFn::kMax:
-      st.mm_seen = r.u8() != 0;
-      st.mm = r.le<double>();
+    case sql::AggFn::kMax: {
+      const bool seen = r.u8() != 0;
+      c.merge_extreme(g, seen, r.le<double>());
       break;
+    }
     case sql::AggFn::kNone:
       throw QueryError("malformed aggregate state: kNone item");
   }
-  return st;
+}
+
+// Adds each row to its group's count, one add per run of equal ids: rows
+// arrive clustered by group.
+void count_runs(uint64_t* count, const uint32_t* ids, std::size_t n) {
+  for (std::size_t i = 0, end; i < n; i = end) {
+    for (end = i + 1; end < n && ids[end] == ids[i]; ++end) {
+    }
+    count[ids[i]] += end - i;
+  }
+}
+
+// Folds value(i) into group ids[i] of `c` for every row i < n.  COUNT
+// never evaluates its argument, so callers handle it without `value`.
+// The arrays are read through locals: the byte stores to `seen` may
+// alias anything, which would otherwise reload every pointer per row.
+template <typename Value>
+void fold_values(ItemColumn& c, const uint32_t* ids, std::size_t n,
+                 Value value) {
+  ExactSum* sum = c.sum.data();
+  uint64_t* count = c.count.data();
+  double* mm = c.mm.data();
+  uint8_t* seen = c.seen.data();
+  const auto extreme = [&](auto better) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = value(i);
+      if (std::isnan(v)) continue;  // NaN never wins MIN/MAX
+      const double k = canon(v);
+      const uint32_t g = ids[i];
+      if (!seen[g] || better(k, mm[g])) {
+        mm[g] = k;
+        seen[g] = 1;
+      }
+    }
+  };
+  switch (c.fn) {
+    case sql::AggFn::kSum:
+      for (std::size_t i = 0; i < n; ++i) sum[ids[i]].add(value(i));
+      return;
+    case sql::AggFn::kAvg:
+      for (std::size_t i = 0; i < n; ++i) sum[ids[i]].add(value(i));
+      count_runs(count, ids, n);
+      return;
+    case sql::AggFn::kMin:
+      extreme(std::less<double>());
+      return;
+    case sql::AggFn::kMax:
+      extreme(std::greater<double>());
+      return;
+    case sql::AggFn::kCount:
+    case sql::AggFn::kNone:
+      return;
+  }
+}
+
+// Bitwise equality of two canonical key tuples.
+bool same_keys(const double* a, const double* b, std::size_t nkeys) {
+  for (std::size_t k = 0; k < nkeys; ++k) {
+    uint64_t x, y;
+    std::memcpy(&x, &a[k], sizeof x);
+    std::memcpy(&y, &b[k], sizeof y);
+    if (x != y) return false;
+  }
+  return true;
+}
+
+// Hash of a canonical key tuple: the splitmix64 finalizer over each key
+// in turn.  The top bits route radix partitions and the low bits pick the
+// slot, so every key bit must reach both.
+uint64_t hash_keys(const double* keys, std::size_t nkeys) {
+  uint64_t h = 0x9e3779b97f4a7c15ull;
+  for (std::size_t k = 0; k < nkeys; ++k) {
+    uint64_t bits;
+    std::memcpy(&bits, &keys[k], sizeof bits);
+    h ^= bits;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    h ^= h >> 31;
+  }
+  return h;
 }
 
 bool valid_fn(uint8_t v) {
@@ -161,136 +246,88 @@ const char* to_string(Strategy s) {
   return "?";
 }
 
-// --- ItemState -------------------------------------------------------------
+// --- ItemColumn ------------------------------------------------------------
 
-void ItemState::fold(sql::AggFn fn, double v) {
+void ItemColumn::resize(std::size_t ngroups) {
   switch (fn) {
     case sql::AggFn::kCount:
-      ++count;
+      count.resize(ngroups);
       return;
     case sql::AggFn::kSum:
-      sum.add(v);
+      sum.resize(ngroups);
       return;
     case sql::AggFn::kAvg:
-      sum.add(v);
-      ++count;
-      return;
-    case sql::AggFn::kMin: {
-      if (std::isnan(v)) return;  // NaN never wins MIN/MAX
-      const double c = canon(v);
-      if (!mm_seen || c < mm) mm = c;
-      mm_seen = true;
-      return;
-    }
-    case sql::AggFn::kMax: {
-      if (std::isnan(v)) return;
-      const double c = canon(v);
-      if (!mm_seen || c > mm) mm = c;
-      mm_seen = true;
-      return;
-    }
-    case sql::AggFn::kNone:
-      return;
-  }
-}
-
-void ItemState::merge(sql::AggFn fn, const ItemState& o) {
-  switch (fn) {
-    case sql::AggFn::kCount:
-      count += o.count;
-      return;
-    case sql::AggFn::kSum:
-      sum.merge(o.sum);
-      return;
-    case sql::AggFn::kAvg:
-      count += o.count;
-      sum.merge(o.sum);
+      count.resize(ngroups);
+      sum.resize(ngroups);
       return;
     case sql::AggFn::kMin:
-      if (o.mm_seen && (!mm_seen || o.mm < mm)) mm = o.mm;
-      mm_seen = mm_seen || o.mm_seen;
-      return;
     case sql::AggFn::kMax:
-      if (o.mm_seen && (!mm_seen || o.mm > mm)) mm = o.mm;
-      mm_seen = mm_seen || o.mm_seen;
+      mm.resize(ngroups);
+      seen.resize(ngroups);
       return;
     case sql::AggFn::kNone:
       return;
   }
 }
 
-double ItemState::finalize(sql::AggFn fn) const {
+void ItemColumn::clear(std::size_t g) {
+  if (!count.empty()) count[g] = 0;
+  if (!sum.empty()) sum[g] = ExactSum{};
+  if (!mm.empty()) {
+    mm[g] = 0;
+    seen[g] = 0;
+  }
+}
+
+void ItemColumn::merge(std::size_t g, const ItemColumn& o, std::size_t og) {
   switch (fn) {
     case sql::AggFn::kCount:
-      if (count > kCountLimit)
-        throw QueryError("COUNT overflow: " + std::to_string(count) +
-                         " rows exceeds 2^53 (not exactly representable)");
-      return static_cast<double>(count);
+      count[g] += o.count[og];
+      return;
     case sql::AggFn::kSum:
-      return sum.finalize();
+      sum[g].merge(o.sum[og]);
+      return;
     case sql::AggFn::kAvg:
-      if (count == 0) return std::numeric_limits<double>::quiet_NaN();
-      if (count > kCountLimit)
-        throw QueryError("AVG overflow: " + std::to_string(count) +
-                         " rows exceeds 2^53 (not exactly representable)");
-      return sum.finalize() / static_cast<double>(count);
+      count[g] += o.count[og];
+      sum[g].merge(o.sum[og]);
+      return;
     case sql::AggFn::kMin:
     case sql::AggFn::kMax:
-      return mm_seen ? mm : std::numeric_limits<double>::quiet_NaN();
+      merge_extreme(g, o.seen[og] != 0, o.mm[og]);
+      return;
+    case sql::AggFn::kNone:
+      return;
+  }
+}
+
+void ItemColumn::merge_extreme(std::size_t g, bool o_seen, double v) {
+  const bool better = fn == sql::AggFn::kMin ? v < mm[g] : v > mm[g];
+  if (o_seen && (!seen[g] || better)) mm[g] = v;
+  seen[g] = seen[g] || o_seen;
+}
+
+double ItemColumn::finalize(std::size_t g) const {
+  switch (fn) {
+    case sql::AggFn::kCount:
+      if (count[g] > kCountLimit)
+        throw QueryError("COUNT overflow: " + std::to_string(count[g]) +
+                         " rows exceeds 2^53 (not exactly representable)");
+      return static_cast<double>(count[g]);
+    case sql::AggFn::kSum:
+      return sum[g].finalize();
+    case sql::AggFn::kAvg:
+      if (count[g] == 0) return std::numeric_limits<double>::quiet_NaN();
+      if (count[g] > kCountLimit)
+        throw QueryError("AVG overflow: " + std::to_string(count[g]) +
+                         " rows exceeds 2^53 (not exactly representable)");
+      return sum[g].finalize() / static_cast<double>(count[g]);
+    case sql::AggFn::kMin:
+    case sql::AggFn::kMax:
+      return seen[g] ? mm[g] : std::numeric_limits<double>::quiet_NaN();
     case sql::AggFn::kNone:
       return std::numeric_limits<double>::quiet_NaN();
   }
   return std::numeric_limits<double>::quiet_NaN();
-}
-
-// --- GroupTable ------------------------------------------------------------
-
-GroupTable::GroupTable(std::size_t nkeys, std::size_t nitems)
-    : nkeys_(nkeys), nitems_(nitems), index_(16, 0) {}
-
-uint64_t GroupTable::hash_keys(const double* keys, std::size_t nkeys) {
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over the canonical key bits
-  for (std::size_t k = 0; k < nkeys; ++k) {
-    uint64_t bits;
-    std::memcpy(&bits, &keys[k], sizeof bits);
-    for (int b = 0; b < 8; ++b) {
-      h ^= (bits >> (8 * b)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
-void GroupTable::rehash(std::size_t cap) {
-  index_.assign(cap, 0);
-  const std::size_t mask = cap - 1;
-  for (std::size_t g = 0; g < ngroups_; ++g) {
-    std::size_t i = hash_keys(key(g), nkeys_) & mask;
-    while (index_[i] != 0) i = (i + 1) & mask;
-    index_[i] = static_cast<uint32_t>(g) + 1;
-  }
-}
-
-ItemState* GroupTable::find_or_insert(const double* keys) {
-  // Keep load under 0.7 so probes stay short.
-  if ((ngroups_ + 1) * 10 >= index_.size() * 7) rehash(index_.size() * 2);
-  const std::size_t mask = index_.size() - 1;
-  std::size_t i = hash_keys(keys, nkeys_) & mask;
-  for (;;) {
-    const uint32_t slot = index_[i];
-    if (slot == 0) {
-      index_[i] = static_cast<uint32_t>(ngroups_) + 1;
-      keys_.insert(keys_.end(), keys, keys + nkeys_);
-      states_.resize(states_.size() + nitems_);
-      return states_.data() + (ngroups_++) * nitems_;
-    }
-    // A global aggregate has no key bytes, and its empty key store has no
-    // storage, which memcmp may not be handed even for length 0.
-    if (nkeys_ == 0 ||
-        std::memcmp(key(slot - 1), keys, nkeys_ * sizeof(double)) == 0)
-      return states_.data() + (slot - 1) * nitems_;
-    i = (i + 1) & mask;
-  }
 }
 
 // --- AggTable --------------------------------------------------------------
@@ -298,107 +335,184 @@ ItemState* GroupTable::find_or_insert(const double* keys) {
 AggTable::AggTable(AggShape shape, StrategyChoice choice)
     : shape_(std::move(shape)),
       choice_(choice),
-      active_(choice.strategy) {
+      active_(choice.strategy),
+      parts_(active_ == Strategy::kRadix ? kRadixParts : 1) {
+  for (sql::AggFn fn : shape_.fns) items_.emplace_back(fn);
   if (active_ == Strategy::kDense) {
     const int64_t width = choice_.dense_hi - choice_.dense_lo + 1;
     if (width < 1 || width * static_cast<int64_t>(
                                  std::max<std::size_t>(shape_.nitems(), 1)) >
                          kDenseCellBudget)
       throw InternalError("dense aggregation domain exceeds the cell budget");
-    dense_.resize(static_cast<std::size_t>(width) * shape_.nitems());
-    present_.assign(static_cast<std::size_t>(width), 0);
-    spill_ = std::make_unique<GroupTable>(shape_.nkeys, shape_.nitems());
-  } else if (active_ == Strategy::kRadix) {
-    parts_.reserve(kRadixParts);
-    for (int i = 0; i < kRadixParts; ++i)
-      parts_.emplace_back(shape_.nkeys, shape_.nitems());
-  } else {
-    parts_.emplace_back(shape_.nkeys, shape_.nitems());
+    base_ = static_cast<uint32_t>(width);
+    present_.assign(base_, 0);
+    for (auto& c : items_) c.resize(base_);
   }
 }
 
-std::size_t AggTable::part_of(const double* keys) const {
-  return static_cast<std::size_t>(
-      GroupTable::hash_keys(keys, shape_.nkeys) >> 60);
+AggTable::KeyIndex& AggTable::index_of(uint64_t hash) {
+  return parts_[active_ == Strategy::kRadix ? hash >> 60 : 0];
+}
+
+void AggTable::insert_rank(KeyIndex& ix, uint64_t hash, uint32_t rank) {
+  const std::size_t mask = ix.slots.size() - 1;
+  std::size_t i = hash & mask;
+  while (ix.slots[i] != 0) i = (i + 1) & mask;
+  ix.slots[i] = rank + 1;
+  ++ix.used;
+}
+
+void AggTable::make_room(KeyIndex& ix) {
+  if ((ix.used + 1) * 10 < ix.slots.size() * 7) return;
+  // Double the capacity and re-place this index's groups.
+  std::vector<uint32_t> old(ix.slots.size() * 2, 0);
+  old.swap(ix.slots);
+  ix.used = 0;
+  for (uint32_t slot : old)
+    if (slot != 0)
+      insert_rank(ix, hash_keys(hashed_key(slot - 1), shape_.nkeys), slot - 1);
+}
+
+uint32_t AggTable::find_or_insert_hashed(const double* keys) {
+  const std::size_t nkeys = shape_.nkeys;
+  const uint64_t h = hash_keys(keys, nkeys);
+  KeyIndex& ix = index_of(h);
+  make_room(ix);
+  const std::size_t mask = ix.slots.size() - 1;
+  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = ix.slots[i];
+    if (slot == 0) {
+      ix.slots[i] = nhashed_ + 1;
+      ++ix.used;
+      keys_.insert(keys_.end(), keys, keys + nkeys);
+      return base_ + nhashed_++;
+    }
+    if (same_keys(hashed_key(slot - 1), keys, nkeys)) return base_ + slot - 1;
+  }
 }
 
 void AggTable::upgrade_to_radix() {
-  std::vector<GroupTable> parts;
-  parts.reserve(kRadixParts);
-  for (int i = 0; i < kRadixParts; ++i)
-    parts.emplace_back(shape_.nkeys, shape_.nitems());
-  const GroupTable& old = parts_[0];
-  for (std::size_t g = 0; g < old.ngroups(); ++g) {
-    const double* k = old.key(g);
-    ItemState* dst =
-        parts[GroupTable::hash_keys(k, shape_.nkeys) >> 60].find_or_insert(k);
-    const ItemState* src = old.states(g);
-    for (std::size_t j = 0; j < shape_.nitems(); ++j) dst[j] = src[j];
-  }
-  parts_ = std::move(parts);
+  parts_.assign(kRadixParts, KeyIndex{});
   active_ = Strategy::kRadix;
+  for (uint32_t r = 0; r < nhashed_; ++r) {
+    const uint64_t h = hash_keys(hashed_key(r), shape_.nkeys);
+    KeyIndex& ix = index_of(h);
+    make_room(ix);
+    insert_rank(ix, h, r);
+  }
 }
 
-ItemState* AggTable::find_or_insert(const double* keys) {
+void AggTable::map_groups(const double* keys, std::size_t n, uint32_t* ids) {
+  if (n == 0) return;
+  const std::size_t nkeys = shape_.nkeys;
+  // The upgrade rule: a kHash table upgrades once a lookup finds it at
+  // kRadixUpgradeGroups groups or more.  Groups only grow, so that holds
+  // for some lookup of the batch exactly when it holds for the last one.
+  bool upgrade = false;
   if (active_ == Strategy::kDense) {
-    const double v = keys[0];
-    // Runtime guard: the hull estimate is advisory — anything outside the
-    // dense domain (or not exactly integral) spills to the hash table.
-    if (v >= static_cast<double>(choice_.dense_lo) &&
-        v <= static_cast<double>(choice_.dense_hi) &&
-        v == std::floor(v)) {
-      const std::size_t idx =
-          static_cast<std::size_t>(static_cast<int64_t>(v) - choice_.dense_lo);
-      if (!present_[idx]) {
-        present_[idx] = 1;
-        ++dense_groups_;
+    const double lo = static_cast<double>(choice_.dense_lo);
+    const double hi = static_cast<double>(choice_.dense_hi);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double v = keys[i];
+      // Runtime guard: the hull estimate is advisory — anything outside
+      // the dense domain (or not exactly integral) spills to the hash
+      // index.
+      if (v >= lo && v <= hi) {
+        const auto iv = static_cast<int64_t>(v);  // in range: lo, hi are
+        if (static_cast<double>(iv) == v) {       // int64 values
+          const auto idx = static_cast<uint32_t>(iv - choice_.dense_lo);
+          if (!present_[idx]) {
+            present_[idx] = 1;
+            touched_.push_back(idx);
+          }
+          ids[i] = idx;
+          continue;
+        }
       }
-      return dense_.data() + idx * shape_.nitems();
+      ids[i] = find_or_insert_hashed(keys + i);
     }
-    return spill_->find_or_insert(keys);
+  } else if (nkeys == 0) {
+    // A global aggregate: every row folds into its single group.
+    upgrade = active_ == Strategy::kHash && nhashed_ >= kRadixUpgradeGroups;
+    std::fill(ids, ids + n, find_or_insert_hashed(keys));
+  } else {
+    // Rows arrive clustered by their implicit attributes (REL, TIME, ...),
+    // so a row whose keys equal the previous row's reuses its id.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + 1 == n)
+        upgrade = active_ == Strategy::kHash && nhashed_ >= kRadixUpgradeGroups;
+      const double* k = keys + i * nkeys;
+      ids[i] = i > 0 && same_keys(k - nkeys, k, nkeys)
+                   ? ids[i - 1]
+                   : find_or_insert_hashed(k);
+    }
   }
-  // Upgrade *before* the lookup so the returned pointer stays valid while
-  // the caller folds into it.
-  if (active_ == Strategy::kHash &&
-      parts_[0].ngroups() >= kRadixUpgradeGroups)
-    upgrade_to_radix();
-  GroupTable& t =
-      active_ == Strategy::kRadix ? parts_[part_of(keys)] : parts_[0];
-  return t.find_or_insert(keys);
+  for (auto& c : items_) c.resize(base_ + nhashed_);
+  if (upgrade) upgrade_to_radix();
 }
 
-uint64_t AggTable::ngroups() const {
-  if (active_ == Strategy::kDense) return dense_groups_ + spill_->ngroups();
-  uint64_t n = 0;
-  for (const auto& p : parts_) n += p.ngroups();
-  return n;
+void AggTable::clear() {
+  for (uint32_t idx : touched_) {
+    present_[idx] = 0;
+    for (auto& c : items_) c.clear(idx);
+  }
+  touched_.clear();
+  // Empty each hashed group's slot.  Its probe path from its home slot
+  // may cross slots already emptied, so search for the rank, not a hole.
+  for (uint32_t r = 0; r < nhashed_; ++r) {
+    const uint64_t h = hash_keys(hashed_key(r), shape_.nkeys);
+    KeyIndex& ix = index_of(h);
+    const std::size_t mask = ix.slots.size() - 1;
+    std::size_t i = h & mask;
+    while (ix.slots[i] != r + 1) i = (i + 1) & mask;
+    ix.slots[i] = 0;
+    --ix.used;
+  }
+  nhashed_ = 0;
+  keys_.clear();
+  for (auto& c : items_) c.resize(base_);
 }
 
-void AggTable::for_each_group(
-    const std::function<void(const double*, const ItemState*)>& fn) const {
-  if (active_ == Strategy::kDense) {
-    double key = 0;
-    for (std::size_t idx = 0; idx < present_.size(); ++idx) {
-      if (!present_[idx]) continue;
-      key = static_cast<double>(choice_.dense_lo + static_cast<int64_t>(idx));
-      fn(&key, dense_.data() + idx * shape_.nitems());
-    }
-    for (std::size_t g = 0; g < spill_->ngroups(); ++g)
-      fn(spill_->key(g), spill_->states(g));
-    return;
+uint64_t AggTable::ngroups() const { return touched_.size() + nhashed_; }
+
+void AggTable::list_groups(std::vector<double>& keys,
+                           std::vector<uint32_t>& ids) const {
+  std::sort(touched_.begin(), touched_.end());
+  for (uint32_t idx : touched_) {
+    keys.push_back(static_cast<double>(choice_.dense_lo + int64_t{idx}));
+    ids.push_back(idx);
   }
-  for (const auto& p : parts_)
-    for (std::size_t g = 0; g < p.ngroups(); ++g) fn(p.key(g), p.states(g));
+  keys.insert(keys.end(), keys_.begin(), keys_.end());
+  for (uint32_t r = 0; r < nhashed_; ++r) ids.push_back(base_ + r);
 }
 
 void AggTable::merge(const AggTable& o) {
   if (!(shape_ == o.shape_))
     throw InternalError("merging aggregate tables of different shapes");
-  o.for_each_group([&](const double* keys, const ItemState* st) {
-    ItemState* dst = find_or_insert(keys);
-    for (std::size_t j = 0; j < shape_.nitems(); ++j)
-      dst[j].merge(shape_.fns[j], st[j]);
-  });
+  merge_keys_.clear();
+  merge_from_.clear();
+  o.list_groups(merge_keys_, merge_from_);
+  const std::size_t n = merge_from_.size();
+  merge_to_.resize(n);
+  map_groups(merge_keys_.data(), n, merge_to_.data());
+  for (std::size_t j = 0; j < items_.size(); ++j)
+    for (std::size_t i = 0; i < n; ++i)
+      items_[j].merge(merge_to_[i], o.items_[j], merge_from_[i]);
+}
+
+void AggTable::absorb(AggTable& o) {
+  // A merge into an empty kHash table upgrades once it inserts past
+  // kRadixUpgradeGroups groups.
+  const Strategy merged = choice_.strategy == Strategy::kHash &&
+                                  o.ngroups() > kRadixUpgradeGroups
+                              ? Strategy::kRadix
+                              : choice_.strategy;
+  if (ngroups() == 0 && o.active_ == merged && shape_ == o.shape_ &&
+      choice_.dense_lo == o.choice_.dense_lo &&
+      choice_.dense_hi == o.choice_.dense_hi)
+    std::swap(*this, o);
+  else merge(o);
+  o.clear();
 }
 
 void AggTable::encode(std::string& out) const {
@@ -406,12 +520,15 @@ void AggTable::encode(std::string& out) const {
   put_le<uint16_t>(out, shape_.nkeys);
   put_le<uint16_t>(out, static_cast<uint16_t>(shape_.nitems()));
   for (sql::AggFn fn : shape_.fns) put_u8(out, static_cast<uint8_t>(fn));
-  put_le<uint64_t>(out, ngroups());
-  for_each_group([&](const double* keys, const ItemState* st) {
-    for (uint16_t k = 0; k < shape_.nkeys; ++k) put_le<double>(out, keys[k]);
-    for (std::size_t j = 0; j < shape_.nitems(); ++j)
-      encode_item(out, shape_.fns[j], st[j]);
-  });
+  std::vector<double> keys;
+  std::vector<uint32_t> ids;
+  list_groups(keys, ids);
+  put_le<uint64_t>(out, ids.size());
+  for (std::size_t g = 0; g < ids.size(); ++g) {
+    for (uint16_t k = 0; k < shape_.nkeys; ++k)
+      put_le<double>(out, keys[g * shape_.nkeys + k]);
+    for (const auto& c : items_) encode_item(out, c, ids[g]);
+  }
 }
 
 void AggTable::merge_encoded(const uint8_t* data, std::size_t size) {
@@ -431,11 +548,9 @@ void AggTable::merge_encoded(const uint8_t* data, std::size_t size) {
   std::vector<double> keys(nkeys);
   for (uint64_t g = 0; g < ngroups; ++g) {
     for (uint16_t k = 0; k < nkeys; ++k) keys[k] = canon(r.le<double>());
-    ItemState* dst = find_or_insert(keys.data());
-    for (uint16_t j = 0; j < nitems; ++j) {
-      const ItemState st = decode_item(r, shape_.fns[j]);
-      dst[j].merge(shape_.fns[j], st);
-    }
+    uint32_t id;
+    map_groups(keys.data(), 1, &id);
+    for (auto& c : items_) merge_decoded_item(r, c, id);
   }
 }
 
@@ -681,18 +796,23 @@ std::vector<double> MergeAcc::finalize_rows() const {
     // Global aggregate over empty input: SQL still yields one row — COUNT 0,
     // SUM +0.0, AVG/MIN/MAX NaN (docs/AGGREGATION.md).
     std::vector<double> row;
-    const ItemState empty{};
-    for (const auto& o : spec_.out)
-      row.push_back(empty.finalize(spec_.shape.fns[o.index]));
+    for (const auto& o : spec_.out) {
+      ItemColumn empty(spec_.shape.fns[o.index]);
+      empty.resize(1);
+      row.push_back(empty.finalize(0));
+    }
     return row;
   }
   std::vector<double> flat;
   flat.reserve(static_cast<std::size_t>(tab_->ngroups()) * spec_.ncols);
-  tab_->for_each_group([&](const double* keys, const ItemState* st) {
+  std::vector<double> keys;
+  std::vector<uint32_t> ids;
+  tab_->list_groups(keys, ids);
+  const std::size_t nkeys = spec_.shape.nkeys;
+  for (std::size_t g = 0; g < ids.size(); ++g)
     for (const auto& o : spec_.out)
-      flat.push_back(o.is_agg ? st[o.index].finalize(spec_.shape.fns[o.index])
-                              : keys[o.index]);
-  });
+      flat.push_back(o.is_agg ? tab_->item(o.index).finalize(ids[g])
+                              : keys[g * nkeys + o.index]);
   sort_limit_rows(flat, spec_.ncols, spec_.order, spec_.limit);
   return flat;
 }
@@ -806,14 +926,13 @@ StrategyChoice choose_strategy(const expr::BoundQuery& q,
 
 PushdownSink::PushdownSink(const expr::BoundQuery& q,
                            const StrategyChoice& choice)
-    : q_(&q), choice_(choice), grouped_(q.has_aggregates()) {
+    : q_(&q), grouped_(q.has_aggregates()) {
   if (grouped_) {
     AggShape shape;
     shape.nkeys = static_cast<uint16_t>(q.group_key_cols().size());
     for (const auto& it : q.agg_items()) shape.fns.push_back(it.fn);
-    keybuf_.resize(shape.nkeys);
-    main_tab_ = std::make_unique<AggTable>(shape, choice_);
-    delta_tab_ = std::make_unique<AggTable>(shape, choice_);
+    main_tab_ = std::make_unique<AggTable>(shape, choice);
+    delta_tab_ = std::make_unique<AggTable>(shape, choice);
   } else {
     const int ncols = static_cast<int>(q.select_slots().size());
     main_topk_ = std::make_unique<TopK>(ncols, q.order_keys(), q.limit());
@@ -825,48 +944,61 @@ PushdownSink::~PushdownSink() = default;
 
 void PushdownSink::begin_afc() {
   if (grouped_) {
-    main_tab_->merge(*delta_tab_);
-    delta_tab_ = std::make_unique<AggTable>(main_tab_->shape(), choice_);
+    main_tab_->absorb(*delta_tab_);
   } else {
     main_topk_->merge(*delta_topk_);
-    delta_topk_ = std::make_unique<TopK>(main_topk_->ncols(), q_->order_keys(),
-                                         q_->limit());
+    delta_topk_->clear();
   }
 }
 
 bool PushdownSink::rollback_afc() {
-  // Nothing has left the worker: discarding the delta fully undoes the AFC.
-  if (grouped_)
-    delta_tab_ = std::make_unique<AggTable>(main_tab_->shape(), choice_);
-  else
-    delta_topk_ = std::make_unique<TopK>(main_topk_->ncols(), q_->order_keys(),
-                                         q_->limit());
+  // Nothing has left the worker: clearing the delta fully undoes the AFC.
+  if (grouped_) delta_tab_->clear();
+  else delta_topk_->clear();
   return true;
 }
 
 void PushdownSink::finish() { begin_afc(); }
 
-void PushdownSink::on_row(const double* vals, uint64_t) {
-  ++rows_folded_;
-  if (!grouped_) {
-    delta_topk_->add(vals);
-    return;
-  }
-  const auto& key_cols = q_->group_key_cols();
-  for (std::size_t k = 0; k < key_cols.size(); ++k)
-    keybuf_[k] = canon(vals[key_cols[k]]);
-  ItemState* st = delta_tab_->find_or_insert(keybuf_.data());
-  const auto& items = q_->agg_items();
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    // COUNT (including COUNT(*)) never evaluates its argument.
-    if (items[j].fn == sql::AggFn::kCount) st[j].fold(items[j].fn, 0);
-    else st[j].fold(items[j].fn, items[j].input.eval(vals));
-  }
+void PushdownSink::on_row(const double* vals, uint64_t scan_index) {
+  on_rows(vals, q_->select_slots().size(), 1, &scan_index);
 }
 
 void PushdownSink::on_rows(const double* rows, std::size_t ncols,
                            std::size_t nrows, const uint64_t*) {
-  for (std::size_t i = 0; i < nrows; ++i) on_row(rows + i * ncols, 0);
+  rows_folded_ += nrows;
+  if (!grouped_) {
+    for (std::size_t i = 0; i < nrows; ++i) delta_topk_->add(rows + i * ncols);
+    return;
+  }
+  // Pass 1: every row to a group id.
+  const auto& key_cols = q_->group_key_cols();
+  const std::size_t nkeys = key_cols.size();
+  keybuf_.resize(nrows * nkeys);
+  for (std::size_t i = 0; i < nrows; ++i)
+    for (std::size_t k = 0; k < nkeys; ++k)
+      keybuf_[i * nkeys + k] = canon(rows[i * ncols + key_cols[k]]);
+  ids_.resize(nrows);
+  const uint32_t* ids = ids_.data();
+  delta_tab_->map_groups(keybuf_.data(), nrows, ids_.data());
+
+  // Pass 2: one loop per item over the group ids.
+  const auto& items = q_->agg_items();
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    ItemColumn& c = delta_tab_->item(j);
+    const expr::CompiledScalar& in = items[j].input;
+    if (c.fn == sql::AggFn::kCount) {
+      count_runs(c.count.data(), ids, nrows);
+    } else if (in.kind == expr::CompiledScalar::Kind::kSlot) {
+      const double* col = rows + in.slot;
+      fold_values(c, ids, nrows,
+                  [col, ncols](std::size_t i) { return col[i * ncols]; });
+    } else {
+      fold_values(c, ids, nrows, [&in, rows, ncols](std::size_t i) {
+        return in.eval(rows + i * ncols);
+      });
+    }
+  }
 }
 
 void PushdownSink::merge_into(PushdownSink& dst) const {

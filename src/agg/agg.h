@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,20 +57,35 @@ struct AggShape {
   }
 };
 
-// Mergeable state of one aggregate item within one group.  A single
-// uniform struct keeps the tables simple; only the fields its function
-// uses are live.
-struct ItemState {
-  uint64_t count = 0;   // COUNT / AVG
-  ExactSum sum;         // SUM / AVG
-  double mm = 0;        // MIN / MAX (canonical)
-  bool mm_seen = false;
+// Mergeable state of one aggregate item for every group of a table,
+// indexed by group id.  Each function keeps only the arrays it reads:
+//
+//   COUNT    count                 8 bytes per group
+//   MIN/MAX  mm (canonical), seen  9 bytes per group
+//   SUM      sum                   sizeof(ExactSum) per group
+//   AVG      count, sum
+//
+// The other arrays stay empty.
+struct ItemColumn {
+  sql::AggFn fn;
+  std::vector<uint64_t> count;
+  std::vector<ExactSum> sum;
+  std::vector<double> mm;
+  std::vector<uint8_t> seen;
 
-  void fold(sql::AggFn fn, double v);
-  void merge(sql::AggFn fn, const ItemState& o);
+  explicit ItemColumn(sql::AggFn f) : fn(f) {}
+
+  // Grows (new groups start empty) or shrinks to `ngroups`.
+  void resize(std::size_t ngroups);
+  // Empties group g.
+  void clear(std::size_t g);
+  // Merges group og of `o` into group g.
+  void merge(std::size_t g, const ItemColumn& o, std::size_t og);
+  // Merges a MIN/MAX state (seen, v) into group g.
+  void merge_extreme(std::size_t g, bool o_seen, double v);
   // Throws QueryError when a COUNT/AVG count exceeds 2^53 (no longer
   // exactly representable in the double result column).
-  double finalize(sql::AggFn fn) const;
+  double finalize(std::size_t g) const;
 };
 
 // -------------------------------------------------------------------------
@@ -105,54 +119,42 @@ StrategyChoice choose_strategy(const expr::BoundQuery& q,
 // -------------------------------------------------------------------------
 // Tables
 
-// Open-addressing hash table from canonical key tuples to ItemState rows.
-// Key equality is bitwise (keys are canonicalized on the way in).
-class GroupTable {
- public:
-  GroupTable(std::size_t nkeys, std::size_t nitems);
-
-  // Returns the item-state row for `keys`, inserting an empty group if
-  // absent.  The pointer is valid until the next insert.
-  ItemState* find_or_insert(const double* keys);
-
-  std::size_t ngroups() const { return ngroups_; }
-  const double* key(std::size_t g) const { return keys_.data() + g * nkeys_; }
-  const ItemState* states(std::size_t g) const {
-    return states_.data() + g * nitems_;
-  }
-  ItemState* states(std::size_t g) { return states_.data() + g * nitems_; }
-
-  static uint64_t hash_keys(const double* keys, std::size_t nkeys);
-
- private:
-  void rehash(std::size_t cap);
-
-  std::size_t nkeys_;
-  std::size_t nitems_;
-  std::size_t ngroups_ = 0;
-  std::vector<double> keys_;        // ngroups * nkeys, insertion order
-  std::vector<ItemState> states_;   // ngroups * nitems
-  std::vector<uint32_t> index_;     // open addressing; 0 empty, else g + 1
-};
-
 // One logical aggregation table with a pluggable physical strategy.  Holds
 // a worker's (or a merge target's) entire grouped-aggregate state.
+//
+// Every group has an id, and each item keeps its state in an ItemColumn
+// indexed by that id.  kDense gives the key domain ids 0..width-1 (key -
+// dense_lo); every other group is a hashed group, with id base + its
+// insertion rank, where base is the dense width (0 for kHash/kRadix).
 class AggTable {
  public:
   AggTable(AggShape shape, StrategyChoice choice);
 
-  // Keys must be canonical.  Pointer valid until the next call.
-  ItemState* find_or_insert(const double* keys);
+  // Maps `n` canonical key tuples (tuple i at keys[i * nkeys]) to group
+  // ids, inserting absent groups.  A kHash table that a lookup found at
+  // kRadixUpgradeGroups or more groups upgrades to kRadix after the batch.
+  void map_groups(const double* keys, std::size_t n, uint32_t* ids);
+  ItemColumn& item(std::size_t j) { return items_[j]; }
+  const ItemColumn& item(std::size_t j) const { return items_[j]; }
+
+  // Empties the table in time proportional to its groups, keeping its
+  // storage, its hash capacity and its physical strategy.
+  void clear();
 
   void merge(const AggTable& o);
+  // Merges `o` into this table, then clears `o`.  Into an empty table the
+  // two swap storage instead, when that gives the groups, their order and
+  // the strategy the merge would.
+  void absorb(AggTable& o);
   uint64_t ngroups() const;
   const AggShape& shape() const { return shape_; }
   // Physical strategy currently in effect (reflects runtime upgrades).
   Strategy strategy() const { return active_; }
 
-  // Visits every group: fn(keys, states).
-  void for_each_group(
-      const std::function<void(const double*, const ItemState*)>& fn) const;
+  // Appends every group's keys (nkeys each) and id: dense keys in key
+  // order, then hashed groups in insertion order.
+  void list_groups(std::vector<double>& keys,
+                   std::vector<uint32_t>& ids) const;
 
   // Self-describing byte-string codec (docs/AGGREGATION.md "Wire format").
   // merge_encoded folds an encoded state into this table; throws
@@ -161,23 +163,44 @@ class AggTable {
   void merge_encoded(const uint8_t* data, std::size_t size);
 
  private:
+  // Open-addressing index over hashed groups: a slot holds the group's
+  // insertion rank + 1, or 0 when empty.  Load stays under 0.7.
+  struct KeyIndex {
+    std::vector<uint32_t> slots = std::vector<uint32_t>(16, 0);
+    std::size_t used = 0;
+  };
+
+  uint32_t find_or_insert_hashed(const double* keys);
+  KeyIndex& index_of(uint64_t hash);
+  void insert_rank(KeyIndex& ix, uint64_t hash, uint32_t rank);
+  // Doubles ix when one more group would load it past 0.7.
+  void make_room(KeyIndex& ix);
   void upgrade_to_radix();
-  std::size_t part_of(const double* keys) const;
+  const double* hashed_key(uint32_t rank) const {
+    return keys_.data() + static_cast<std::size_t>(rank) * shape_.nkeys;
+  }
 
   AggShape shape_;
   StrategyChoice choice_;
   Strategy active_;
+  std::vector<ItemColumn> items_;
 
-  // kDense: states indexed by key - dense_lo, occupancy in present_;
-  // out-of-domain or non-integral keys spill into spill_.
-  std::vector<ItemState> dense_;
+  // kDense: occupancy of the key domain, and the slots occupied since the
+  // last clear(), as a set (list_groups sorts it in place).
   std::vector<uint8_t> present_;
-  uint64_t dense_groups_ = 0;
-  std::unique_ptr<GroupTable> spill_;
+  mutable std::vector<uint32_t> touched_;
 
-  // kHash: parts_ has one table; kRadix: kRadixParts tables routed by the
-  // top bits of the key hash.
-  std::vector<GroupTable> parts_;
+  // Hashed groups (kDense spill, kHash, kRadix): their ids start at base_.
+  // Keys are stored nkeys per group in insertion order.  parts_ holds one
+  // index, or kRadixParts routed by the top bits of the key hash.
+  uint32_t base_ = 0;
+  uint32_t nhashed_ = 0;
+  std::vector<double> keys_;
+  std::vector<KeyIndex> parts_;
+
+  // merge() scratch, kept to spare an allocation per AFC commit.
+  std::vector<double> merge_keys_;
+  std::vector<uint32_t> merge_from_, merge_to_;
 };
 
 // Top-k row state for plain (non-aggregate) SELECT ... ORDER BY/LIMIT
@@ -190,6 +213,7 @@ class TopK {
 
   void add(const double* row);
   void merge(const TopK& o);
+  void clear() { rows_.clear(); }
   uint64_t nrows() const { return ncols_ ? rows_.size() / ncols_ : 0; }
   int ncols() const { return ncols_; }
 
@@ -265,10 +289,14 @@ class MergeAcc {
 
 // RowSink that folds matched rows into local aggregate state instead of
 // shipping them.  Follows the node loop's per-AFC sink protocol
-// (storm/node_runner.h): folds go into a delta that begin_afc() commits
-// and rollback_afc() discards, so an AFC retried after a transient IoError
-// never double-counts (rollback always succeeds — nothing has left the
-// worker).
+// (storm/node_runner.h): folds go into a delta that begin_afc() merges
+// into the committed state and rollback_afc() discards, so an AFC retried
+// after a transient IoError never double-counts (rollback always succeeds
+// — nothing has left the worker).  Either way the delta is cleared, not
+// rebuilt, so its cost follows the groups the AFC touched.
+//
+// on_rows folds a batch in two passes: every row to a group id, then one
+// loop per aggregate item over those ids.  on_row is a one-row batch.
 class PushdownSink : public codegen::RowSink {
  public:
   PushdownSink(const expr::BoundQuery& q, const StrategyChoice& choice);
@@ -294,9 +322,9 @@ class PushdownSink : public codegen::RowSink {
 
  private:
   const expr::BoundQuery* q_;
-  StrategyChoice choice_;
   bool grouped_;
-  std::vector<double> keybuf_;
+  std::vector<double> keybuf_;  // canonical keys of the batch, row-major
+  std::vector<uint32_t> ids_;   // group id of each row of the batch
   uint64_t rows_folded_ = 0;
   std::unique_ptr<AggTable> main_tab_, delta_tab_;
   std::unique_ptr<TopK> main_topk_, delta_topk_;

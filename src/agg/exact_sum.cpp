@@ -14,34 +14,10 @@ constexpr int kBiasBits = 1074;
 
 }  // namespace
 
-void ExactSum::add(double v) {
-  if (!std::isfinite(v)) {
-    if (std::isnan(v)) saw_nan = true;
-    else if (v > 0) saw_pinf = true;
-    else saw_ninf = true;
-    return;
-  }
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  const uint64_t frac = bits & ((uint64_t{1} << 52) - 1);
-  const int exp = static_cast<int>((bits >> 52) & 0x7ff);
-  const uint64_t mant = exp ? (frac | (uint64_t{1} << 52)) : frac;
-  if (mant == 0) return;  // +-0 contributes nothing
-  const int64_t sign = (bits >> 63) ? -1 : 1;
-  // v = mant * 2^(e) with e = unbiased exponent - 52; subnormals use the
-  // minimum exponent.  pos is the accumulator bit of mant's bit 0.
-  const int e = (exp ? exp : 1) - 1075;
-  const int pos = e + kBiasBits;  // >= 0 by construction
-  const int li = pos >> 5;
-  const int sh = pos & 31;
-  // mant << sh spans at most 84 bits; split it into 64 low + 20 high.
-  const uint64_t lo64 = mant << sh;
-  const uint64_t hi64 = sh ? mant >> (64 - sh) : 0;
-  limb[li] += sign * static_cast<int64_t>(static_cast<uint32_t>(lo64));
-  limb[li + 1] +=
-      sign * static_cast<int64_t>(static_cast<uint32_t>(lo64 >> 32));
-  limb[li + 2] += sign * static_cast<int64_t>(static_cast<uint32_t>(hi64));
-  if (++pending >= (uint32_t{1} << 30)) normalize();
+void ExactSum::add_nonfinite(double v) {
+  if (std::isnan(v)) saw_nan = true;
+  else if (v > 0) saw_pinf = true;
+  else saw_ninf = true;
 }
 
 void ExactSum::normalize() {
@@ -56,23 +32,14 @@ void ExactSum::normalize() {
 }
 
 void ExactSum::merge(const ExactSum& o) {
-  normalize();
-  ExactSum t = o;
-  t.normalize();
-  for (int i = 0; i < kLimbs; ++i) limb[i] += t.limb[i];
-  normalize();
+  // Each operand's limbs below the top are within (pending + 1) * 2^32 of
+  // zero, so the sum's are within (pending + o.pending + 2) * 2^32.
+  for (int i = 0; i < kLimbs; ++i) limb[i] += o.limb[i];
+  pending += o.pending + 1;
+  if (pending >= (uint32_t{1} << 30)) normalize();
   saw_nan = saw_nan || o.saw_nan;
   saw_pinf = saw_pinf || o.saw_pinf;
   saw_ninf = saw_ninf || o.saw_ninf;
-}
-
-bool ExactSum::is_zero() const {
-  if (saw_nan || saw_pinf || saw_ninf) return false;
-  ExactSum t = *this;
-  t.normalize();
-  for (int i = 0; i < kLimbs; ++i)
-    if (t.limb[i] != 0) return false;
-  return true;
 }
 
 double ExactSum::finalize() const {

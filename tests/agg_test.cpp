@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <random>
 #include <vector>
@@ -413,10 +415,25 @@ TEST(AggClusterTest, AggMergeFaultIsTypedNodeError) {
 }
 
 TEST(AggClusterTest, CountOverflowIsQueryError) {
-  agg::ItemState st;
-  st.count = (uint64_t{1} << 53) + 1;
-  EXPECT_THROW(st.finalize(sql::AggFn::kCount), QueryError);
-  EXPECT_THROW(st.finalize(sql::AggFn::kAvg), QueryError);
+  for (sql::AggFn fn : {sql::AggFn::kCount, sql::AggFn::kAvg}) {
+    agg::FinalizeSpec spec;
+    spec.grouped = true;
+    spec.shape.fns = {fn};
+    spec.out = {{true, 0}};
+    spec.ncols = 1;
+    // A partial state of 2^52 + 1 rows: exact alone, past 2^53 merged twice.
+    agg::AggTable part(spec.shape, agg::StrategyChoice{});
+    uint32_t id = 0;
+    part.map_groups(nullptr, 1, &id);
+    part.item(0).count[id] = (uint64_t{1} << 52) + 1;
+    std::string bytes;
+    part.encode(bytes);
+    agg::MergeAcc acc(spec);
+    acc.merge_encoded(bytes);
+    EXPECT_NO_THROW(acc.finalize_rows());
+    acc.merge_encoded(bytes);
+    EXPECT_THROW(acc.finalize_rows(), QueryError);
+  }
 }
 
 TEST(AggClusterTest, EmptyGroupSemantics) {
@@ -458,6 +475,199 @@ TEST(AggClusterTest, BindRejectsBadShapes) {
 }
 
 // --- SELECT COUNT(*): a query that references no attribute ----------------
+
+// --- PushdownSink: the per-AFC protocol and the batch fold ------------------
+
+// Values every fold must carry bit-exactly: signed zeros, NaN, infinities,
+// subnormals and the largest finite doubles.
+const double kEdgeValues[] = {0.25,
+                              -0.0,
+                              0.0,
+                              std::nan(""),
+                              HUGE_VAL,
+                              -HUGE_VAL,
+                              std::numeric_limits<double>::denorm_min(),
+                              -2.5e-310,
+                              1e308,
+                              -1e308,
+                              3.5};
+
+// Scan rows (select_slots order) of a bound pushdown query, one AFC each.
+class ScanRows {
+ public:
+  explicit ScanRows(const expr::BoundQuery& q)
+      : q_(q), ncols_(q.select_slots().size()) {}
+
+  std::size_t ncols() const { return ncols_; }
+  std::size_t nrows(const std::vector<double>& afc) const {
+    return afc.size() / ncols_;
+  }
+
+  // Appends a row: keys[k] for the k-th GROUP BY attribute, and every
+  // other scan column drawn from kEdgeValues or a random double.
+  void add(std::vector<double>& afc, const std::vector<double>& keys,
+           std::mt19937_64& rng) const {
+    const std::size_t at = afc.size();
+    afc.resize(at + ncols_);
+    const auto& key_cols = q_.group_key_cols();
+    for (std::size_t c = 0; c < ncols_; ++c) {
+      const std::size_t pick = rng() % 16;
+      afc[at + c] = pick < std::size(kEdgeValues)
+                        ? kEdgeValues[pick]
+                        : std::ldexp(static_cast<double>(rng() % 1000), -7);
+    }
+    for (std::size_t k = 0; k < key_cols.size(); ++k)
+      afc[at + static_cast<std::size_t>(key_cols[k])] = keys[k];
+  }
+
+ private:
+  const expr::BoundQuery& q_;
+  std::size_t ncols_;
+};
+
+// Folds each AFC into a fresh sink as the node loop does and returns the
+// encoded state.  With `rollback`, every AFC first folds a prefix of its
+// rows, rolls it back, then folds all of them again.
+std::string fold_afcs(const expr::BoundQuery& q,
+                      const agg::StrategyChoice& choice,
+                      const std::vector<std::vector<double>>& afcs,
+                      bool rollback) {
+  agg::PushdownSink sink(q, choice);
+  const std::size_t ncols = q.select_slots().size();
+  for (const auto& afc : afcs) {
+    sink.begin_afc();
+    const std::size_t n = afc.size() / ncols;
+    if (rollback) {
+      sink.on_rows(afc.data(), ncols, n - n / 8, nullptr);
+      EXPECT_TRUE(sink.rollback_afc());
+    }
+    sink.on_rows(afc.data(), ncols, n, nullptr);
+  }
+  sink.finish();
+  std::string out;
+  sink.encode(out);
+  return out;
+}
+
+TEST(PushdownSinkTest, RollbackLeavesOnlyCommittedAfcs) {
+  Fixture f;
+  std::mt19937_64 rng(7);
+  const double nan = std::nan("");
+
+  // Dense TIME in [1, 10]; the middle AFC also spills keys outside the
+  // domain, keys that are not integral, and a NaN key.
+  const expr::BoundQuery grouped = f.plan->bind(
+      "SELECT TIME, COUNT(*), SUM(SOIL), MIN(SGAS), MAX(SGAS), AVG(SOIL) "
+      "FROM IparsData GROUP BY TIME");
+  const ScanRows rows(grouped);
+  agg::StrategyChoice dense;
+  dense.strategy = agg::Strategy::kDense;
+  dense.dense_lo = 1;
+  dense.dense_hi = 10;
+  const double spill_keys[] = {0, 11, -3, 1e9, 2.5, -0.0, nan, 10.5};
+  std::vector<std::vector<double>> afcs(3);
+  for (int i = 0; i < 200; ++i) rows.add(afcs[0], {1.0 + i % 10}, rng);
+  for (int i = 0; i < 200; ++i)
+    rows.add(afcs[1], {i % 3 ? spill_keys[i % 8] : 1.0 + i % 10}, rng);
+  for (int i = 0; i < 200; ++i) rows.add(afcs[2], {1.0 + i / 20}, rng);
+  const std::string committed = fold_afcs(grouped, dense, afcs, false);
+  EXPECT_EQ(fold_afcs(grouped, dense, afcs, true), committed);
+
+  // Every committed row is counted exactly once.
+  agg::MergeAcc acc(agg::finalize_spec(grouped));
+  acc.merge_encoded(committed);
+  const std::vector<double> out = acc.finalize_rows();
+  double counted = 0;
+  for (std::size_t r = 0; r < out.size(); r += 6) counted += out[r + 1];
+  EXPECT_EQ(counted, 600.0);
+  EXPECT_EQ(acc.ngroups(), 10u + std::size(spill_keys) - 1);  // -0.0 is 0
+
+  // A hash delta that passes kRadixUpgradeGroups inside an AFC that is
+  // rolled back, after an AFC already committed.
+  std::vector<std::vector<double>> wide(3);
+  for (int i = 0; i < 50; ++i) rows.add(wide[0], {0.5 * i}, rng);
+  for (uint64_t i = 0; i < agg::kRadixUpgradeGroups + 900; ++i)
+    rows.add(wide[1], {1000.25 + static_cast<double>(i)}, rng);
+  for (int i = 0; i < 50; ++i) rows.add(wide[2], {0.5 * i}, rng);
+  EXPECT_EQ(fold_afcs(grouped, agg::StrategyChoice{}, wide, true),
+            fold_afcs(grouped, agg::StrategyChoice{}, wide, false));
+
+  // A global aggregate has one group, whatever the AFC.
+  const expr::BoundQuery global = f.plan->bind(
+      "SELECT COUNT(*), SUM(SGAS), AVG(SOIL), MIN(SOIL), MAX(SGAS) "
+      "FROM IparsData");
+  const ScanRows grows(global);
+  std::vector<std::vector<double>> gafcs(3);
+  for (auto& afc : gafcs)
+    for (int i = 0; i < 64; ++i) grows.add(afc, {}, rng);
+  EXPECT_EQ(fold_afcs(global, agg::StrategyChoice{}, gafcs, true),
+            fold_afcs(global, agg::StrategyChoice{}, gafcs, false));
+}
+
+TEST(PushdownSinkTest, BatchFoldMatchesRowAtATime) {
+  Fixture f;
+  std::mt19937_64 rng(11);
+  agg::StrategyChoice dense, hash, radix;
+  dense.strategy = agg::Strategy::kDense;
+  dense.dense_lo = 1;
+  dense.dense_hi = 10;
+  radix.strategy = agg::Strategy::kRadix;
+  // Every AggFn, over plain columns, arithmetic and a UDF.
+  const char* one_key =
+      "SELECT TIME, COUNT(*), SUM(SOIL), MIN(SGAS), MAX(SOIL * 2 - SGAS), "
+      "AVG(ABSV(SGAS)), SUM(SGAS / 3) FROM IparsData GROUP BY TIME";
+  const char* two_keys =
+      "SELECT REL, TIME, COUNT(*), MIN(SOIL), MAX(SGAS), AVG(SGAS * SOIL), "
+      "SUM(ABSV(SOIL)) FROM IparsData GROUP BY REL, TIME";
+  const char* global =
+      "SELECT COUNT(*), SUM(SOIL + 1), MIN(ABSV(SGAS)), MAX(SOIL), "
+      "AVG(SGAS) FROM IparsData";
+  struct Case {
+    const char* sql;
+    agg::StrategyChoice choice;
+    int distinct_keys;  // key tuples drawn from this many values
+  };
+  const Case cases[] = {
+      {one_key, dense, 12},  // 10 in the domain, 2 spill
+      {one_key, hash, 300},
+      {one_key, hash, 6000},  // upgrades to radix mid-fold
+      {one_key, radix, 6000},
+      {two_keys, hash, 40},
+      {two_keys, radix, 40},
+      {global, hash, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const expr::BoundQuery q = f.plan->bind(c.sql);
+    const ScanRows rows(q);
+    std::vector<double> batch;
+    const std::size_t nkeys = q.group_key_cols().size();
+    for (int i = 0; i < 9000; ++i) {
+      // Runs of equal keys, as the layouts produce, then random keys.
+      const int k = i < 3000 ? i / 37 % c.distinct_keys
+                             : static_cast<int>(rng() % c.distinct_keys);
+      std::vector<double> keys;
+      if (nkeys >= 1) keys.push_back(k == 11 ? 2.5 : k);
+      if (nkeys == 2) keys.push_back(k % 7);
+      rows.add(batch, keys, rng);
+    }
+    const std::size_t n = rows.nrows(batch);
+    agg::PushdownSink whole(q, c.choice), one(q, c.choice);
+    whole.begin_afc();
+    whole.on_rows(batch.data(), rows.ncols(), n, nullptr);
+    whole.finish();
+    one.begin_afc();
+    for (std::size_t i = 0; i < n; ++i)
+      one.on_row(batch.data() + i * rows.ncols(), i);
+    one.finish();
+    std::string a, b;
+    whole.encode(a);
+    one.encode(b);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(whole.table()->strategy(), one.table()->strategy());
+    EXPECT_EQ(whole.rows_folded(), n);
+  }
+}
 
 // One small dataset per layout family: IPARS L0 and I-VI, Titan, and the
 // spatio-temporal grid in row-major (TitanST) and COLMAJOR storage.
