@@ -142,10 +142,6 @@ class AggTable {
   void clear();
 
   void merge(const AggTable& o);
-  // Merges `o` into this table, then clears `o`.  Into an empty table the
-  // two swap storage instead, when that gives the groups, their order and
-  // the strategy the merge would.
-  void absorb(AggTable& o);
   uint64_t ngroups() const;
   const AggShape& shape() const { return shape_; }
   // Physical strategy currently in effect (reflects runtime upgrades).
@@ -186,9 +182,9 @@ class AggTable {
   std::vector<ItemColumn> items_;
 
   // kDense: occupancy of the key domain, and the slots occupied since the
-  // last clear(), as a set (list_groups sorts it in place).
+  // last clear(), in first-use order.
   std::vector<uint8_t> present_;
-  mutable std::vector<uint32_t> touched_;
+  std::vector<uint32_t> touched_;
 
   // Hashed groups (kDense spill, kHash, kRadix): their ids start at base_.
   // Keys are stored nkeys per group in insertion order.  parts_ holds one
