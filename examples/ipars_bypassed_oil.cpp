@@ -80,7 +80,7 @@ int main() {
 
   // Cluster cells into connected regions per time step (6-neighborhood on
   // the integer lattice the coordinates live on).
-  adv::expr::Table t = r.merged();
+  adv::expr::Table t = std::move(r).merged();
   std::map<long, DisjointSet> per_time;
   std::map<long, std::set<long>> cells_per_time;
   for (std::size_t i = 0; i < t.num_rows(); ++i) {

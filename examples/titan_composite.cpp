@@ -70,7 +70,7 @@ int main() {
   // Composite: 128x128 image over the query box, pixel = max S1.
   const int W = 128, H = 128;
   std::vector<double> best(static_cast<std::size_t>(W) * H, 0.0);
-  adv::expr::Table t = with.merged();
+  adv::expr::Table t = std::move(with).merged();
   for (std::size_t i = 0; i < t.num_rows(); ++i) {
     int px = static_cast<int>(t.at(i, 0) / 20000.0 * (W - 1));
     int py = static_cast<int>(t.at(i, 1) / 20000.0 * (H - 1));

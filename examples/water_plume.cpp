@@ -122,7 +122,7 @@ DATASET "PlumeData" {
     auto r = cluster.execute(adv::format(
         "SELECT X, Y, TCE FROM PlumeData WHERE HOUR = %d AND TCE > 5.0",
         hour));
-    adv::expr::Table t = r.merged();
+    adv::expr::Table t = std::move(r).merged();
     double cx = 0, peak = 0;
     for (std::size_t i = 0; i < t.num_rows(); ++i) {
       cx += t.at(i, 0);

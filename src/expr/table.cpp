@@ -9,8 +9,32 @@
 
 namespace adv::expr {
 
+void transpose_rows(const double* rows, std::size_t nrows, std::size_t ncols,
+                    double* const* dst) {
+  // 64 rows of up to ~60 columns fit in a 32 KiB L1.
+  constexpr std::size_t kBlock = 64;
+  for (std::size_t r0 = 0; r0 < nrows; r0 += kBlock) {
+    const std::size_t n = std::min(kBlock, nrows - r0);
+    const double* block = rows + r0 * ncols;
+    for (std::size_t c = 0; c < ncols; ++c) {
+      const double* p = block + c;
+      double* d = dst[c] + r0;
+      for (std::size_t r = 0; r < n; ++r, p += ncols) d[r] = *p;
+    }
+  }
+}
+
 Table::Table(std::vector<Column> cols) : cols_(std::move(cols)) {
   data_.resize(cols_.size());
+}
+
+Table::Table(std::vector<Column> cols, std::vector<std::vector<double>> data,
+             std::size_t rows)
+    : cols_(std::move(cols)), data_(std::move(data)), rows_(rows) {
+  if (data_.size() != cols_.size())
+    throw InternalError("Table: column count mismatch");
+  for (const auto& col : data_)
+    if (col.size() != rows_) throw InternalError("Table: column length");
 }
 
 void Table::append_row(const double* vals) {
@@ -20,19 +44,18 @@ void Table::append_row(const double* vals) {
 
 void Table::append_rows(const double* rows, std::size_t nrows) {
   const std::size_t nc = cols_.size();
+  std::vector<double*> dst(nc);
   for (std::size_t c = 0; c < nc; ++c) {
     auto& col = data_[c];
-    const std::size_t old = col.size();
-    // Geometric growth: reserving exactly old+nrows would reallocate (and
+    // Geometric growth: reserving exactly rows_+nrows would reallocate (and
     // copy the whole column) once per appended batch — quadratic over a
     // long stream of batches.
-    if (col.capacity() < old + nrows)
-      col.reserve(std::max(old + nrows, 2 * col.capacity()));
-    col.resize(old + nrows);
-    double* dst = col.data() + old;
-    const double* p = rows + c;
-    for (std::size_t r = 0; r < nrows; ++r, p += nc) dst[r] = *p;
+    if (col.capacity() < rows_ + nrows)
+      col.reserve(std::max(rows_ + nrows, 2 * col.capacity()));
+    col.resize(rows_ + nrows);
+    dst[c] = col.data() + rows_;
   }
+  transpose_rows(rows, nrows, nc, dst.data());
   rows_ += nrows;
 }
 

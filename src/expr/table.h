@@ -14,6 +14,13 @@
 
 namespace adv::expr {
 
+// Copies `nrows` row-major rows of width `ncols` into columns:
+// dst[c][r] = rows[r * ncols + c].  Cache-blocked: a block of rows stays in
+// L1 while every column takes its slice, so each source line is read once
+// instead of once per column.
+void transpose_rows(const double* rows, std::size_t nrows, std::size_t ncols,
+                    double* const* dst);
+
 class Table {
  public:
   struct Column {
@@ -23,6 +30,10 @@ class Table {
 
   Table() = default;
   explicit Table(std::vector<Column> cols);
+  // Adopts column-major data by move; every column must hold `rows`
+  // values.
+  Table(std::vector<Column> cols, std::vector<std::vector<double>> data,
+        std::size_t rows);
 
   const std::vector<Column>& columns() const { return cols_; }
   std::size_t num_cols() const { return cols_.size(); }
@@ -31,8 +42,8 @@ class Table {
   // Appends one row; `vals` must hold num_cols() values.
   void append_row(const double* vals);
 
-  // Appends `nrows` row-major rows in one pass: one strided copy per column
-  // instead of nrows * num_cols() scattered push_backs.
+  // Appends `nrows` row-major rows in one pass (transpose_rows) instead of
+  // nrows * num_cols() scattered push_backs.
   void append_rows(const double* rows, std::size_t nrows);
 
   double at(std::size_t row, std::size_t col) const {

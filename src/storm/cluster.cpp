@@ -127,23 +127,77 @@ void run_node(int node, const codegen::DataServicePlan& plan,
   stats.busy_seconds = busy.elapsed_seconds();
 }
 
-// Materializing execution is streaming execution draining into one table
-// per consumer.
+// Materializing execution is streaming execution plus a parallel tail.
+// During the scan the client thread only takes each batch.  Once the
+// channel closes it allocates every consumer's columns at their exact final
+// size; the extraction pool then resizes them (std::vector's zero fill,
+// about 3x faster spread over the pool than on one thread) and transposes
+// the batches into them at per-batch offsets, freeing each batch once
+// copied.  Offsets follow each consumer's arrival order, so pushdown final
+// rows keep their order bit for bit.  The client thread allocates because
+// with malloc trimming off (perfbench) a column allocated from a pool
+// thread's arena keeps that arena's high-water mark resident
+// (docs/PIPELINE.md §1, stage 4).
 QueryResult execute_into_tables(
     StormCluster& cluster, const expr::BoundQuery& q,
     const PartitionSpec& partition, const afc::ChunkFilter* filter,
     const std::vector<afc::PlanResult>* node_plans, CancelToken* cancel) {
-  std::vector<expr::Table> tables;
-  for (int c = 0; c < std::max(1, partition.num_consumers); ++c)
-    tables.emplace_back(q.result_columns());
+  std::vector<RowBatch> batches;
   QueryResult result = cluster.execute_streaming(
       q,
-      [&](const RowBatch& batch) {
-        tables[static_cast<std::size_t>(batch.consumer)].append_rows(
-            batch.data.data(), batch.num_rows());
+      [&](RowBatch& batch) {
+        if (!batch.data.empty()) batches.push_back(std::move(batch));
       },
       partition, filter, node_plans, cancel);
-  result.partitions = std::move(tables);
+
+  std::vector<expr::Table::Column> schema = q.result_columns();
+  const std::size_t ncols = schema.size();
+  const auto nconsumers =
+      static_cast<std::size_t>(std::max(1, partition.num_consumers));
+  std::vector<std::size_t> offset(batches.size());
+  std::vector<std::size_t> rows(nconsumers, 0);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    const auto c = static_cast<std::size_t>(batches[i].consumer);
+    offset[i] = rows[c];
+    rows[c] += batches[i].num_rows();
+  }
+  // cols[c * ncols + k] is consumer c's column k.
+  std::vector<std::vector<double>> cols(nconsumers * ncols);
+  for (std::size_t i = 0; i < cols.size(); ++i)
+    cols[i].reserve(rows[i / ncols]);
+
+  ThreadPool* pool = cluster.extraction_pool();
+  auto each = [pool](std::size_t n,
+                     const std::function<void(std::size_t)>& fn,
+                     const CancelToken* token) {
+    if (pool) return pool->parallel_for(n, fn, token);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (token) token->check();
+      fn(i);
+    }
+  };
+  auto size_column = [&](std::size_t i) { cols[i].resize(rows[i / ncols]); };
+  auto copy_batch = [&](std::size_t i) {
+    RowBatch& b = batches[i];
+    const std::size_t first = static_cast<std::size_t>(b.consumer) * ncols;
+    std::vector<double*> dst(ncols);
+    for (std::size_t k = 0; k < ncols; ++k)
+      dst[k] = cols[first + k].data() + offset[i];
+    expr::transpose_rows(b.data.data(), b.num_rows(), ncols, dst.data());
+    std::vector<double>().swap(b.data);
+  };
+  // Only copying polls the token: a query cancelled before any row
+  // arrived keeps reporting its cancellation as node errors.
+  each(cols.size(), size_column, nullptr);
+  each(batches.size(), copy_batch, cancel);
+
+  result.partitions.reserve(nconsumers);
+  for (std::size_t c = 0; c < nconsumers; ++c) {
+    auto first = std::make_move_iterator(cols.begin() + c * ncols);
+    result.partitions.emplace_back(
+        schema, std::vector<std::vector<double>>(first, first + ncols),
+        rows[c]);
+  }
   return result;
 }
 
@@ -279,7 +333,7 @@ QueryResult StormCluster::execute_streaming(
   // draining the channel (discarding batches), and rethrow only after
   // every worker joined.
   std::exception_ptr sink_error;
-  auto guarded_sink = [&](const RowBatch& batch) {
+  auto guarded_sink = [&](RowBatch& batch) {
     if (sink_error) return;
     try {
       sink(batch);
@@ -397,8 +451,16 @@ uint64_t QueryResult::total_agg_bytes_shipped() const {
   return n;
 }
 
-expr::Table QueryResult::merged() const {
+expr::Table QueryResult::merged() const& {
   expr::Table out = partitions.empty() ? expr::Table() : partitions[0];
+  for (std::size_t i = 1; i < partitions.size(); ++i)
+    out.append_table(partitions[i]);
+  return out;
+}
+
+expr::Table QueryResult::merged() && {
+  expr::Table out =
+      partitions.empty() ? expr::Table() : std::move(partitions[0]);
   for (std::size_t i = 1; i < partitions.size(); ++i)
     out.append_table(partitions[i]);
   return out;

@@ -10,7 +10,9 @@
 // scan position in the node's AFC list, so a row's destination consumer
 // under kRoundRobin/kBlockCyclic is identical whether the node scans with
 // 1 thread or 64 (see docs/PIPELINE.md for the ordering contract).  The
-// client (the caller) assembles per-consumer tables.
+// client thread collects the batches and allocates each consumer's
+// columns; once the nodes finish, the pool transposes the batches into
+// them (docs/PIPELINE.md §1, stage 4).
 //
 // Aggregation / top-k pushdown (docs/AGGREGATION.md): for queries where
 // BoundQuery::is_pushdown() holds, workers fold matched rows into local
@@ -95,8 +97,10 @@ struct QueryResult {
   uint64_t total_afcs_vector() const;
   uint64_t total_groups_emitted() const;
   uint64_t total_agg_bytes_shipped() const;
-  // Concatenation of all partitions.
-  expr::Table merged() const;
+  // Concatenation of all partitions; the rvalue overload moves the first
+  // partition instead of copying it.
+  expr::Table merged() const&;
+  expr::Table merged() &&;
   // First error reported by any node ("" when none).
   std::string first_error() const;
   // Kind of the first node error (kNone when every node succeeded).
@@ -151,10 +155,11 @@ class StormCluster {
   // extraction batch, and on the row-shipping path, so a fired token (an
   // explicit cancel or an expired deadline) releases this cluster's pool
   // workers within one extraction batch.  Cancellation surfaces as the
-  // affected nodes' NodeStats::error; concurrently executing queries with
-  // other tokens are unaffected.  The token is also *fired by* the
-  // cluster when a streaming sink throws (the consumer is gone), so
-  // producers stop instead of scanning for a dead connection.
+  // affected nodes' NodeStats::error, or as CancelledError when the token
+  // fires while shipped rows are being assembled; concurrently executing
+  // queries with other tokens are unaffected.  The token is also *fired
+  // by* the cluster when a streaming sink throws (the consumer is gone),
+  // so producers stop instead of scanning for a dead connection.
   QueryResult execute(const std::string& sql,
                       const PartitionSpec& partition = {},
                       const afc::ChunkFilter* filter = nullptr,
@@ -166,11 +171,12 @@ class StormCluster {
 
   // Streaming execution: row batches are handed to `sink` as nodes produce
   // them instead of being materialized into tables (the callback runs on
-  // the client thread; batches from different nodes interleave).  The
-  // returned QueryResult carries stats only — its partitions are empty.
-  // A sink exception cancels the query (when it has a token), drains the
-  // remaining batches, and is rethrown once every node worker joined.
-  using BatchSink = std::function<void(const RowBatch&)>;
+  // the client thread; batches from different nodes interleave, and the
+  // sink may move a batch's rows out).  The returned QueryResult carries
+  // stats only — its partitions are empty.  A sink exception cancels the
+  // query (when it has a token), drains the remaining batches, and is
+  // rethrown once every node worker joined.
+  using BatchSink = std::function<void(RowBatch&)>;
   QueryResult execute_streaming(const expr::BoundQuery& q,
                                 const BatchSink& sink,
                                 const PartitionSpec& partition = {},

@@ -709,14 +709,17 @@ RemoteResult QueryClient::execute(const std::string& sql,
         uint16_t ncols = payload.get<uint16_t>();
         if (consumer >= result.partitions.size())
           throw IoError("row batch for unknown consumer");
-        std::size_t nvals = static_cast<std::size_t>(nrows) * ncols;
+        // The rows are read at the schema's width, so a frame of another
+        // width must fail typed rather than be read past its end.
+        if (ncols != cols.size())
+          throw IoError("row batch has " + std::to_string(ncols) +
+                        " columns, schema has " +
+                        std::to_string(cols.size()));
+        const std::size_t nvals = static_cast<std::size_t>(nrows) * ncols;
+        const unsigned char* vals = payload.raw(nvals * sizeof(double));
         rowbuf.resize(nvals);
-        std::memcpy(rowbuf.data(), payload.raw(nvals * sizeof(double)),
-                    nvals * sizeof(double));
-        for (uint32_t r = 0; r < nrows; ++r)
-          result.partitions[consumer].append_row(rowbuf.data() +
-                                                 static_cast<std::size_t>(r) *
-                                                     ncols);
+        std::memcpy(rowbuf.data(), vals, nvals * sizeof(double));
+        result.partitions[consumer].append_rows(rowbuf.data(), nrows);
         break;
       }
       case kStats: {

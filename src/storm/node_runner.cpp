@@ -148,7 +148,7 @@ void NodeRunner::scan(std::size_t lo, std::size_t hi, RangeSink& sink,
 void emit_final_rows(const agg::MergeAcc& acc,
                      const PartitionGenerationService& partsvc,
                      std::size_t batch_rows,
-                     const std::function<void(const RowBatch&)>& emit) {
+                     const std::function<void(RowBatch&)>& emit) {
   const std::vector<double> rows = acc.finalize_rows();
   const auto ncols = static_cast<std::size_t>(acc.spec().ncols);
   std::vector<RowBatch> out(static_cast<std::size_t>(partsvc.num_consumers()));
@@ -164,7 +164,7 @@ void emit_final_rows(const agg::MergeAcc& acc,
       b.data.clear();
     }
   }
-  for (const RowBatch& b : out)
+  for (RowBatch& b : out)
     if (!b.data.empty()) emit(b);
 }
 

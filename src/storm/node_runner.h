@@ -236,11 +236,12 @@ class NodeRunner {
 
 // Pushdown's last step: the merged aggregate's final rows, dealt to
 // consumers by output row index and handed to `emit` in per-consumer
-// batches of at most `batch_rows` rows.  StormCluster and DistCoordinator
-// both end pushdown queries here, so their partitions agree bit for bit.
+// batches of at most `batch_rows` rows (`emit` may move the rows out).
+// StormCluster and DistCoordinator both end pushdown queries here, so their
+// partitions agree bit for bit.
 void emit_final_rows(const agg::MergeAcc& acc,
                      const PartitionGenerationService& partsvc,
                      std::size_t batch_rows,
-                     const std::function<void(const RowBatch&)>& emit);
+                     const std::function<void(RowBatch&)>& emit);
 
 }  // namespace adv::storm

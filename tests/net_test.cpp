@@ -637,6 +637,75 @@ TEST(ProtocolInteropTest, V1ServerWithoutSchedTailYieldsInvalidSchedInfo) {
   EXPECT_EQ(r.node_stats[0].rows_matched, 1u);
 }
 
+TEST(ProtocolInteropTest, RowBatchNarrowerThanSchemaFailsTyped) {
+  // A fake server announces 2 columns, then sends a 1-column row batch.
+  // The client reads rows at the schema's width, so it must reject the
+  // frame typed instead of reading past the batch's values.
+  int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t alen = sizeof addr;
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+  int port = ntohs(addr.sin_port);
+
+  std::thread srv([lfd] {
+    int c = ::accept(lfd, nullptr, nullptr);
+    if (c < 0) return;
+    uint8_t type = 0;
+    std::vector<unsigned char> payload;
+    if (!raw_recv_frame(c, type, payload) || type != 0x01) {
+      ::close(c);
+      return;
+    }
+    // Schema, batch and end in one send, so the client's hang-up cannot
+    // race the server's writes.
+    std::vector<unsigned char> out;
+    auto frame = [&out](uint8_t t, const std::vector<unsigned char>& p) {
+      raw_pod<uint32_t>(out, static_cast<uint32_t>(p.size()));
+      raw_pod<uint8_t>(out, t);
+      out.insert(out.end(), p.begin(), p.end());
+    };
+    std::vector<unsigned char> schema;  // 2 columns: X, Y, float64
+    raw_pod<uint16_t>(schema, 2);
+    for (char name : {'X', 'Y'}) {
+      raw_pod<uint8_t>(schema, static_cast<uint8_t>(DataType::kFloat64));
+      raw_pod<uint16_t>(schema, 1);
+      schema.push_back(static_cast<unsigned char>(name));
+    }
+    frame(0x02, schema);
+    std::vector<unsigned char> batch;  // consumer 0, 3 rows x 1 col
+    raw_pod<uint16_t>(batch, 0);
+    raw_pod<uint32_t>(batch, 3);
+    raw_pod<uint16_t>(batch, 1);
+    for (double v : {1.0, 2.0, 3.0}) raw_pod<double>(batch, v);
+    frame(0x03, batch);
+    frame(0x05, {});  // kEnd
+    raw_write(c, out.data(), out.size());
+    // Hold the connection until the client hangs up.
+    unsigned char byte;
+    while (::recv(c, &byte, 1, 0) > 0) {
+    }
+    ::close(c);
+  });
+
+  QueryClient client("127.0.0.1", port);
+  try {
+    client.execute("SELECT X, Y FROM T");
+    ADD_FAILURE() << "expected IoError";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("1 columns, schema has 2"),
+              std::string::npos)
+        << e.what();
+  }
+  srv.join();
+  ::close(lfd);
+}
+
 TEST(ProtocolInteropTest, CancelRacingCompletionIsCleanEitherWay) {
   // Fire the cancel token at staggered offsets around a short query's
   // completion.  Whatever the interleaving, the outcome must be one of:

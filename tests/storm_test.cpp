@@ -4,10 +4,13 @@
 // simulated network time.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <thread>
 
+#include "common/cancel.h"
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
 #include "dataset/titan.h"
@@ -278,6 +281,120 @@ TEST(StormClusterTest, StreamingDeliversSameRows) {
   EXPECT_GT(batches, 0u);
   EXPECT_GT(r.makespan_seconds, 0.0);
   EXPECT_TRUE(streamed.same_rows(cluster.execute(sql).merged()));
+}
+
+// Tables compared bit for bit, after sorting both when `sort` is set.
+bool same_bits(expr::Table a, expr::Table b, bool sort) {
+  if (a.num_cols() != b.num_cols() || a.num_rows() != b.num_rows())
+    return false;
+  if (sort) {
+    a.sort_rows();
+    b.sort_rows();
+  }
+  for (std::size_t c = 0; c < a.num_cols() && a.num_rows() > 0; ++c)
+    if (std::memcmp(a.column(c).data(), b.column(c).data(),
+                    a.num_rows() * sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
+std::atomic<int> g_udf_calls{0};
+CancelToken* g_udf_cancel = nullptr;
+
+// The materializing tail (many 64-row batches transposed by the pool into
+// per-consumer columns) against batches the test collects itself.
+TEST(StormClusterTest, ParallelAssemblyMatchesStreamedBatches) {
+  Fixture f;
+  ClusterOptions opts;
+  opts.batch_rows = 64;
+  opts.threads_per_node = 4;
+  const char* sql = "SELECT * FROM IparsData WHERE SOIL > 0.2";
+  const expr::BoundQuery q = f.plan->bind(sql);
+  using Policy = PartitionSpec::Policy;
+  for (Policy policy : {Policy::kSingle, Policy::kRoundRobin,
+                        Policy::kHashAttr, Policy::kRangeAttr,
+                        Policy::kBlockCyclic}) {
+    for (bool parallel_nodes : {true, false}) {
+      SCOPED_TRACE(static_cast<int>(policy) * 10 + parallel_nodes);
+      opts.parallel_nodes = parallel_nodes;
+      StormCluster cluster(f.plan, opts);
+      PartitionSpec spec;
+      spec.policy = policy;
+      spec.num_consumers = 3;
+      spec.select_index = 3;
+      spec.range_hi = 1.0;
+      spec.block_size = 16;
+      std::vector<expr::Table> want(3, expr::Table(q.result_columns()));
+      std::size_t batches = 0;
+      QueryResult streamed = cluster.execute_streaming(
+          q,
+          [&](const RowBatch& b) {
+            ++batches;
+            want[static_cast<std::size_t>(b.consumer)].append_rows(
+                b.data.data(), b.num_rows());
+          },
+          spec);
+      ASSERT_EQ(streamed.first_error(), "");
+      EXPECT_GT(batches, 10u);
+      QueryResult got = cluster.execute(q, spec);
+      ASSERT_EQ(got.first_error(), "");
+      ASSERT_EQ(got.partitions.size(), 3u);
+      for (std::size_t c = 0; c < 3; ++c)
+        EXPECT_TRUE(same_bits(got.partitions[c], want[c], true))
+            << "consumer " << c;
+    }
+  }
+
+  // Pushdown final rows arrive in order, so the tail keeps that order:
+  // the same bits, unsorted, as streamed and at 1 and 4 threads.
+  const expr::BoundQuery grouped = f.plan->bind(
+      "SELECT TIME, SOIL, COUNT(*), SUM(SGAS), AVG(SGAS) FROM IparsData "
+      "GROUP BY TIME, SOIL");
+  PartitionSpec rr;
+  rr.policy = Policy::kRoundRobin;
+  rr.num_consumers = 3;
+  opts.parallel_nodes = true;
+  ClusterOptions one = opts;
+  one.threads_per_node = 1;
+  StormCluster cluster4(f.plan, opts);
+  std::vector<expr::Table> streamed(3, expr::Table(grouped.result_columns()));
+  cluster4.execute_streaming(
+      grouped,
+      [&](const RowBatch& b) {
+        streamed[static_cast<std::size_t>(b.consumer)].append_rows(
+            b.data.data(), b.num_rows());
+      },
+      rr);
+  QueryResult at4 = cluster4.execute(grouped, rr);
+  QueryResult at1 = StormCluster(f.plan, one).execute(grouped, rr);
+  ASSERT_EQ(at4.first_error(), "");
+  ASSERT_EQ(at1.first_error(), "");
+  EXPECT_GT(at4.total_rows(), 64u * 3);
+  for (std::size_t c = 0; c < 3; ++c) {
+    EXPECT_TRUE(same_bits(at4.partitions[c], streamed[c], false))
+        << "consumer " << c;
+    EXPECT_TRUE(same_bits(at4.partitions[c], at1.partitions[c], false))
+        << "consumer " << c;
+  }
+
+  // Cancelled halfway through the scan, after many batches shipped: the
+  // tail polls the token and the query fails typed instead of hanging.
+  FilteringService::register_filter(
+      "STORM_TEST_CANCEL_HALFWAY", 1, [](const double* a, std::size_t) {
+        if (g_udf_calls.fetch_add(1) ==
+            static_cast<int>(cfg4().total_rows() / 2))
+          g_udf_cancel->cancel();
+        return a[0];
+      });
+  CancelToken token;
+  g_udf_calls = 0;
+  g_udf_cancel = &token;
+  EXPECT_THROW(
+      cluster4.execute(
+          "SELECT * FROM IparsData WHERE STORM_TEST_CANCEL_HALFWAY(SOIL) >= 0",
+          {}, nullptr, &token),
+      CancelledError);
+  g_udf_cancel = nullptr;
 }
 
 // ---------------------------------------------------------------------------

@@ -403,8 +403,9 @@ int cmd_query(const Args& a) {
                 ns.busy_seconds * 1e3);
   int sample = a.flag_int("csv", 10);
   if (sample > 0 && r.total_rows() > 0) {
-    std::printf("\n%s",
-                r.merged().to_csv(static_cast<std::size_t>(sample)).c_str());
+    std::printf(
+        "\n%s",
+        std::move(r).merged().to_csv(static_cast<std::size_t>(sample)).c_str());
   }
   return 0;
 }
