@@ -5,6 +5,8 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/error.h"
 
@@ -464,6 +466,20 @@ PlanResult plan_afcs(const DatasetModel& model, const expr::BoundQuery& q,
         }
       };
   rec(0, Partial{});
+  return out;
+}
+
+std::vector<uint32_t> plan_footprint(const DatasetModel& model,
+                                     const std::vector<PlanResult>& plans) {
+  std::unordered_set<std::string_view> named;
+  for (const PlanResult& p : plans)
+    for (const GroupPlan& g : p.groups)
+      named.insert(g.files.begin(), g.files.end());
+  std::vector<uint32_t> out;
+  const std::vector<ConcreteFile>& files = model.files();
+  for (std::size_t i = 0; i < files.size(); ++i)
+    if (named.count(files[i].full_path) != 0)
+      out.push_back(static_cast<uint32_t>(i));
   return out;
 }
 

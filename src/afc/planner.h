@@ -41,4 +41,11 @@ struct PlannerOptions {
 PlanResult plan_afcs(const DatasetModel& model, const expr::BoundQuery& q,
                      const PlannerOptions& opts = {});
 
+// The query's footprint: indices into model.files(), ascending, of every
+// file some group of `plans` names.  Groups are formed before the chunk
+// filter runs, so this is every file the planned query can read, whatever
+// the filter later prunes.
+std::vector<uint32_t> plan_footprint(const DatasetModel& model,
+                                     const std::vector<PlanResult>& plans);
+
 }  // namespace adv::afc

@@ -68,6 +68,23 @@ void Table::append_table(const Table& other) {
   rows_ += other.rows_;
 }
 
+namespace {
+
+Table append_rest(Table out, const std::vector<Table>& parts) {
+  for (std::size_t i = 1; i < parts.size(); ++i) out.append_table(parts[i]);
+  return out;
+}
+
+}  // namespace
+
+Table Table::concat(const std::vector<Table>& parts) {
+  return parts.empty() ? Table() : append_rest(parts[0], parts);
+}
+
+Table Table::concat(std::vector<Table>&& parts) {
+  return parts.empty() ? Table() : append_rest(std::move(parts[0]), parts);
+}
+
 void Table::sort_rows() {
   std::vector<std::size_t> order(rows_);
   std::iota(order.begin(), order.end(), 0);

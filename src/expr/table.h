@@ -56,6 +56,12 @@ class Table {
   // Appends all rows of `other` (column schemas must match in count).
   void append_table(const Table& other);
 
+  // Concatenation of `parts` in order (an empty list gives an empty
+  // table).  The rvalue overload moves parts[0] instead of copying it, so
+  // a single-part result is handed over without a copy.
+  static Table concat(const std::vector<Table>& parts);
+  static Table concat(std::vector<Table>&& parts);
+
   // Sorts rows lexicographically (column 0 first).  Used to compare results
   // produced in different orders by different layouts / engines.
   void sort_rows();

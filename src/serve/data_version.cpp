@@ -1,6 +1,8 @@
 #include "serve/data_version.h"
 
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "common/error.h"
 #include "common/io.h"
@@ -51,13 +53,13 @@ std::string DataVersion::hex() const {
   return std::string(buf, 16);
 }
 
-DataVersion DataVersion::compute(const codegen::DataServicePlan& plan,
+DataVersion DataVersion::compute(const afc::DatasetModel& model,
+                                 std::span<const uint32_t> files,
                                  const std::string& sidecar_dir) {
   DataVersion v;
   uint64_t h = kFnvOffset;
-  const auto& model = plan.model();
-  for (const auto& f : model.files()) {
-    h = mix_file(h, f.full_path, &v.files_seen);
+  for (uint32_t f : files) {
+    h = mix_file(h, model.files().at(f).full_path, &v.files_seen);
   }
   if (!sidecar_dir.empty()) {
     h = mix_file(h,
@@ -67,6 +69,13 @@ DataVersion DataVersion::compute(const codegen::DataServicePlan& plan,
   }
   v.hash = h;
   return v;
+}
+
+DataVersion DataVersion::compute(const codegen::DataServicePlan& plan,
+                                 const std::string& sidecar_dir) {
+  std::vector<uint32_t> all(plan.model().files().size());
+  std::iota(all.begin(), all.end(), 0u);
+  return compute(plan.model(), all, sidecar_dir);
 }
 
 }  // namespace adv::serve

@@ -1,5 +1,7 @@
 #include "serve/plan_cache.h"
 
+#include <iterator>
+
 namespace adv {
 
 std::shared_ptr<const CachedPlan> PlanCache::find(const std::string& key) {
@@ -10,8 +12,8 @@ std::shared_ptr<const CachedPlan> PlanCache::find(const std::string& key) {
     return nullptr;
   }
   hits_++;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  touch_locked(it->second);
+  return it->second->plan;
 }
 
 void PlanCache::insert(const std::string& key,
@@ -19,21 +21,33 @@ void PlanCache::insert(const std::string& key,
   std::lock_guard<std::mutex> lk(mu_);
   auto it = map_.find(key);
   if (it != map_.end()) {
-    it->second->second = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
+    it->second->plan = std::move(plan);
+    touch_locked(it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(plan));
-  map_[key] = lru_.begin();
+  probation_.push_front({key, std::move(plan)});
+  map_[key] = probation_.begin();
   while (map_.size() > capacity_) {
-    map_.erase(lru_.back().first);
-    lru_.pop_back();
+    map_.erase(probation_.back().key);
+    probation_.pop_back();
+  }
+}
+
+void PlanCache::touch_locked(Lru::iterator slot) {
+  protected_.splice(protected_.begin(), slot->kept ? protected_ : probation_,
+                    slot);
+  slot->kept = true;
+  if (protected_.size() > protected_capacity_) {
+    auto last = std::prev(protected_.end());
+    last->kept = false;
+    probation_.splice(probation_.begin(), protected_, last);
   }
 }
 
 void PlanCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
-  lru_.clear();
+  probation_.clear();
+  protected_.clear();
   map_.clear();
 }
 

@@ -157,9 +157,10 @@ struct ServeOptions {
   // want.
   bool enable_result_cache = false;
   ResultCache::Options result_cache;
-  // Server-side plan cache (bind + per-node index runs),
-  // keyed like the result cache so data rewrites retire stale AFC lists.
-  bool enable_plan_cache = true;
+  // Server-side plan cache: bind, per-node index runs and the query's file
+  // footprint, keyed by canonical SQL alone — no file's bytes enter a
+  // plan, so a data rewrite leaves entries valid (0 = off: every query
+  // plans afresh).
   std::size_t plan_cache_capacity = 32;
   // Zone-map sidecar directory folded into DataVersion; empty = data files
   // only.  Set it to the same directory the server's chunk filter was

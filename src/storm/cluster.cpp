@@ -451,21 +451,6 @@ uint64_t QueryResult::total_agg_bytes_shipped() const {
   return n;
 }
 
-expr::Table QueryResult::merged() const& {
-  expr::Table out = partitions.empty() ? expr::Table() : partitions[0];
-  for (std::size_t i = 1; i < partitions.size(); ++i)
-    out.append_table(partitions[i]);
-  return out;
-}
-
-expr::Table QueryResult::merged() && {
-  expr::Table out =
-      partitions.empty() ? expr::Table() : std::move(partitions[0]);
-  for (std::size_t i = 1; i < partitions.size(); ++i)
-    out.append_table(partitions[i]);
-  return out;
-}
-
 std::string QueryResult::first_error() const {
   for (const auto& s : node_stats)
     if (!s.error.empty()) return s.error;

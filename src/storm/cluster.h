@@ -99,8 +99,10 @@ struct QueryResult {
   uint64_t total_agg_bytes_shipped() const;
   // Concatenation of all partitions; the rvalue overload moves the first
   // partition instead of copying it.
-  expr::Table merged() const&;
-  expr::Table merged() &&;
+  expr::Table merged() const& { return expr::Table::concat(partitions); }
+  expr::Table merged() && {
+    return expr::Table::concat(std::move(partitions));
+  }
   // First error reported by any node ("" when none).
   std::string first_error() const;
   // Kind of the first node error (kNone when every node succeeded).

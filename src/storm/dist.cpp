@@ -446,13 +446,6 @@ uint64_t DistResult::total_rows() const {
   return n;
 }
 
-expr::Table DistResult::merged() const {
-  expr::Table out = partitions.empty() ? expr::Table() : partitions[0];
-  for (std::size_t i = 1; i < partitions.size(); ++i)
-    out.append_table(partitions[i]);
-  return out;
-}
-
 std::string DistResult::first_error() const {
   return casualties.empty() ? "" : casualties.front().error;
 }

@@ -118,7 +118,10 @@ struct DistResult {
   bool partial() const { return !casualties.empty(); }
   uint64_t total_rows() const;
   // Concatenation of all partitions (same shape as QueryResult::merged()).
-  expr::Table merged() const;
+  expr::Table merged() const& { return expr::Table::concat(partitions); }
+  expr::Table merged() && {
+    return expr::Table::concat(std::move(partitions));
+  }
   std::string first_error() const;
   ErrorKind first_error_kind() const;
   std::vector<int> failed_nodes() const;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "afc/planner.h"
 #include "common/error.h"
 #include "faultz/faultz.h"
 #include "sql/ast.h"
@@ -56,7 +57,7 @@ QueryServer::QueryServer(std::shared_ptr<codegen::DataServicePlan> plan,
     result_cache_ =
         std::make_unique<serve::ResultCache>(serve_opts_.result_cache);
   }
-  if (serve_opts_.enable_plan_cache && serve_opts_.plan_cache_capacity > 0) {
+  if (serve_opts_.plan_cache_capacity > 0) {
     plan_cache_ = std::make_unique<PlanCache>(serve_opts_.plan_cache_capacity);
   }
   ignore_sigpipe();
@@ -298,12 +299,31 @@ void QueryServer::serve_query(Connection* conn) {
       // (the same normalization VirtualTable's plan key uses).  A parse
       // error lands in the catch below exactly as a failed bind would.
       const std::string canon_sql = sql::parse_select(sql).to_string();
-      std::string version_hex;
-      if (result_cache_ != nullptr || plan_cache_ != nullptr) {
-        version_hex =
-            serve::DataVersion::compute(*plan_, serve_opts_.version_sidecar_dir)
-                .hex();
+
+      // Plan entry: the bound query, the per-node index runs and the
+      // query's footprint, once per canonical SQL.  The schema frame goes
+      // out from it before execution so the client can stream row batches
+      // straight into typed tables.
+      std::shared_ptr<const CachedPlan> planned =
+          plan_cache_ != nullptr ? plan_cache_->find(canon_sql) : nullptr;
+      if (planned == nullptr) {
+        auto fresh =
+            std::make_shared<CachedPlan>(cluster_.query_service().submit(sql));
+        fresh->node_plans = cluster_.plan_nodes(fresh->query, filter_);
+        fresh->footprint =
+            afc::plan_footprint(plan_->model(), fresh->node_plans);
+        if (plan_cache_ != nullptr) plan_cache_->insert(canon_sql, fresh);
+        planned = std::move(fresh);
       }
+      // The version covers only the files this query can read, plus the
+      // sidecar: a rewrite elsewhere in the dataset keeps its entries.
+      auto version_hex_now = [&] {
+        return serve::DataVersion::compute(plan_->model(), planned->footprint,
+                                           serve_opts_.version_sidecar_dir)
+            .hex();
+      };
+      std::string version_hex;
+      if (result_cache_ != nullptr) version_hex = version_hex_now();
 
       // Result cache: hit, follower (identical query already executing),
       // or leader (must execute and publish).
@@ -373,26 +393,6 @@ void QueryServer::serve_query(Connection* conn) {
         return;
       }
 
-      // Bind first: the schema frame goes out before execution so the
-      // client can stream row batches straight into typed tables.  The
-      // plan cache skips the bind and the per-node index runs on repeats
-      // (keyed with the data version: a rewrite retires AFC lists that
-      // embed file paths).
-      std::shared_ptr<const CachedPlan> planned;
-      if (plan_cache_ != nullptr) {
-        const std::string plan_key = canon_sql + "|" + version_hex;
-        planned = plan_cache_->find(plan_key);
-        if (planned == nullptr) {
-          auto fresh =
-              std::make_shared<CachedPlan>(cluster_.query_service().submit(sql));
-          fresh->node_plans = cluster_.plan_nodes(fresh->query, filter_);
-          plan_cache_->insert(plan_key, fresh);
-          planned = std::move(fresh);
-        }
-      } else {
-        planned =
-            std::make_shared<CachedPlan>(cluster_.query_service().submit(sql));
-      }
       const expr::BoundQuery& q = planned->query;
       {
         Payload schema;
@@ -431,9 +431,7 @@ void QueryServer::serve_query(Connection* conn) {
             batch.put_bytes(b.data.data(), b.data.size() * sizeof(double));
             send_frame(fd, kRowBatch, batch);
           },
-          part, filter_,
-          plan_cache_ != nullptr ? &planned->node_plans : nullptr,
-          &ctx->token);
+          part, filter_, &planned->node_plans, &ctx->token);
 
       std::string node_error = r.first_error();
       if (!node_error.empty()) {
@@ -461,12 +459,9 @@ void QueryServer::serve_query(Connection* conn) {
       if (record) {
         // Publish only what provably matches the keyed version: a rewrite
         // landing mid-execution may have produced torn rows, so recheck
-        // before the entry becomes visible.  On mismatch followers fall
-        // back to executing themselves.
-        const std::string v_now =
-            serve::DataVersion::compute(*plan_, serve_opts_.version_sidecar_dir)
-                .hex();
-        if (v_now == version_hex) {
+        // the same footprint before the entry becomes visible.  On
+        // mismatch followers fall back to executing themselves.
+        if (version_hex_now() == version_hex) {
           auto entry = std::make_shared<serve::ResultEntry>();
           entry->columns = q.result_columns();
           entry->partitions = std::move(teed);
@@ -626,13 +621,6 @@ std::string SchedInfo::pretty() const {
         static_cast<unsigned long long>(t.rejected));
     out += line;
   }
-  return out;
-}
-
-expr::Table RemoteResult::merged() const {
-  expr::Table out = partitions.empty() ? expr::Table() : partitions[0];
-  for (std::size_t i = 1; i < partitions.size(); ++i)
-    out.append_table(partitions[i]);
   return out;
 }
 

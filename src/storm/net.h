@@ -237,7 +237,11 @@ struct RemoteResult {
     for (const auto& p : partitions) n += p.num_rows();
     return n;
   }
-  expr::Table merged() const;
+  // Concatenation of all partitions (same shape as QueryResult::merged()).
+  expr::Table merged() const& { return expr::Table::concat(partitions); }
+  expr::Table merged() && {
+    return expr::Table::concat(std::move(partitions));
+  }
 };
 
 // The server's admission queue was full (or it is draining).  Carries the

@@ -4,7 +4,10 @@
 // (realization, node).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "afc/dataset_model.h"
 #include "afc/planner.h"
@@ -240,6 +243,50 @@ TEST(PlannerTest, OnlyNodeRestrictsPlanning) {
   PlanResult pr = plan_afcs(m, q, opts);
   EXPECT_EQ(pr.stats.groups_formed, 4u);  // 4 rels on node 2
   for (const auto& g : pr.groups) EXPECT_EQ(g.node_id, 2);
+}
+
+// A chunk filter that rules every chunk out.
+class RejectAllFilter : public ChunkFilter {
+ public:
+  bool constrains(const expr::QueryIntervals&) const override { return true; }
+  uint32_t resolve(const std::string&) const override { return 0; }
+  bool may_match(uint32_t, uint64_t,
+                 const expr::QueryIntervals&) const override {
+    return false;
+  }
+};
+
+TEST(PlannerTest, FootprintIsEveryFileTheNodePlansCanRead) {
+  DatasetModel m = paper_model();
+  // L0 style: X lives in each node's COORDS, REL only in the DATA$REL
+  // file names, so REL IN (1) reads COORDS and DATA1 on every node.
+  expr::BoundQuery q =
+      bind(m, "SELECT X, SOIL FROM IparsData WHERE REL IN (1)");
+  std::vector<PlanResult> plans;
+  for (int n = 0; n < m.num_nodes(); ++n) {
+    PlannerOptions opts;
+    opts.only_node = n;
+    plans.push_back(plan_afcs(m, q, opts));
+  }
+  std::vector<uint32_t> fp = plan_footprint(m, plans);
+  std::set<std::string> paths;
+  for (uint32_t i : fp) paths.insert(m.files().at(i).path);
+  std::set<std::string> want;
+  for (int n = 0; n < 4; ++n) {
+    want.insert("osu" + std::to_string(n) + "/ipars/COORDS");
+    want.insert("osu" + std::to_string(n) + "/ipars/DATA1");
+  }
+  EXPECT_EQ(paths, want);
+  EXPECT_TRUE(std::is_sorted(fp.begin(), fp.end()));
+
+  // Groups form before the chunk filter runs: a filter that prunes every
+  // AFC leaves the footprint as it was.
+  RejectAllFilter reject;
+  PlannerOptions filtered;
+  filtered.filter = &reject;
+  std::vector<PlanResult> pruned = {plan_afcs(m, q, filtered)};
+  EXPECT_TRUE(pruned[0].afcs.empty());
+  EXPECT_EQ(plan_footprint(m, pruned), fp);
 }
 
 TEST(PlannerTest, PruningOffStillCorrectJustMoreWork) {

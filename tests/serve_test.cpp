@@ -2,11 +2,14 @@
 // detection for in-place rewrites and zone-map sidecar rebuilds, the
 // byte-budgeted LRU and single-flight behaviour of ResultCache in
 // isolation, and the end-to-end serving path through QueryServer — cached
-// hits bit-equal to uncached runs, version-keyed invalidation after file
-// rewrites (including mid-query), kServeCache fault campaigns, typed
+// hits bit-equal to uncached runs, version-keyed invalidation after
+// rewrites of the files a query reads (including mid-query) and of the
+// sidecar, entries that outlive rewrites of files the query never reads,
+// plan entries reused across rewrites, kServeCache fault campaigns, typed
 // tenant-quota rejections on the wire, and the kStats v2.2 serving tail.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "afc/planner.h"
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
 #include "faultz/faultz.h"
@@ -44,6 +48,21 @@ void flip_byte_in_place(const std::string& path) {
   ASSERT_NE(c, EOF);
   ASSERT_EQ(std::fseek(f, off, SEEK_SET), 0);
   ASSERT_NE(std::fputc((c ^ 0x2a) & 0xff, f), EOF);
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+// Overwrites every 4-byte word of `path` with `v` in place: same length,
+// same inode, and a content change no tolerance can miss.
+void fill_in_place(const std::string& path, float v) {
+  FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+  const long size = std::ftell(f);
+  ASSERT_GT(size, 0);
+  ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+  std::vector<float> words(static_cast<std::size_t>(size) / sizeof(float), v);
+  ASSERT_EQ(std::fwrite(words.data(), sizeof(float), words.size(), f),
+            words.size());
   ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -240,6 +259,44 @@ storm::QueryServer make_caching_server(const ServeFixture& f,
                             std::move(sopts), vs);
 }
 
+// kSql's footprint as the server computes it: indices into model.files()
+// of every file its node plans can read.
+std::vector<uint32_t> footprint_of_ksql(const ServeFixture& f) {
+  storm::StormCluster cluster(f.plan);
+  expr::BoundQuery q = cluster.query_service().submit(kSql);
+  return afc::plan_footprint(f.plan->model(), cluster.plan_nodes(q, nullptr));
+}
+
+// A data file kSql reads (its SOIL file on node 0).
+std::string file_in_footprint(const ServeFixture& f) {
+  std::vector<uint32_t> fp = footprint_of_ksql(f);
+  EXPECT_FALSE(fp.empty());
+  return f.plan->model().files().at(fp.front()).full_path;
+}
+
+// A data file kSql never reads.
+std::string file_outside_footprint(const ServeFixture& f) {
+  std::vector<uint32_t> fp = footprint_of_ksql(f);
+  const auto& files = f.plan->model().files();
+  for (uint32_t i = 0; i < files.size(); ++i)
+    if (!std::binary_search(fp.begin(), fp.end(), i)) return files[i].full_path;
+  ADD_FAILURE() << "kSql reads every file of the dataset";
+  return std::string();
+}
+
+// Rows node 0 matched: after its SOIL file is filled with a value above
+// kSql's 0.25 threshold, every row of its TIME <= 4 window.
+uint64_t node0_rows_matched(const storm::RemoteResult& r) {
+  for (const auto& ns : r.node_stats)
+    if (ns.node_id == 0) return ns.rows_matched;
+  ADD_FAILURE() << "no stats for node 0";
+  return 0;
+}
+
+uint64_t node0_window_rows(const ServeFixture& f) {
+  return 4u * static_cast<uint64_t>(f.cfg.rels * f.cfg.grid_per_node);
+}
+
 TEST(ServeE2ETest, CachedHitMatchesUncachedRun) {
   ServeFixture f;
   storm::QueryServer server = make_caching_server(f);
@@ -286,7 +343,7 @@ TEST(ServeE2ETest, InPlaceRewriteInvalidatesCachedEntry) {
   ASSERT_TRUE(cclient.execute(kSql).sched.served_from_cache);
   std::string v_before = cached.data_version().hex();
 
-  flip_byte_in_place(f.any_data_file());
+  flip_byte_in_place(file_in_footprint(f));
   EXPECT_NE(cached.data_version().hex(), v_before);
 
   // The rewrite changed the version component of every key: the next
@@ -309,11 +366,12 @@ TEST(ServeE2ETest, MidQueryRewriteNeverServesStale) {
   storm::QueryServer anchor(f.plan);
   storm::QueryClient cclient("127.0.0.1", cached.port());
   storm::QueryClient aclient("127.0.0.1", anchor.port());
+  const std::string soil_file = file_in_footprint(f);
 
   for (int round = 0; round < 4; ++round) {
     std::thread rewriter([&] {
       std::this_thread::sleep_for(std::chrono::microseconds(200 * round));
-      flip_byte_in_place(f.any_data_file());
+      flip_byte_in_place(soil_file);
     });
     try {
       (void)cclient.execute(kSql);
@@ -327,6 +385,109 @@ TEST(ServeE2ETest, MidQueryRewriteNeverServesStale) {
     storm::RemoteResult want = aclient.execute(kSql);
     ASSERT_TRUE(got.merged().same_rows(want.merged())) << "round " << round;
   }
+}
+
+TEST(ServeE2ETest, RewriteOutsideFootprintKeepsCachedEntry) {
+  ServeFixture f;
+  storm::QueryServer cached = make_caching_server(f);
+  storm::QueryServer anchor(f.plan);
+  storm::QueryClient cclient("127.0.0.1", cached.port());
+  storm::QueryClient aclient("127.0.0.1", anchor.port());
+
+  (void)cclient.execute(kSql);
+  ASSERT_TRUE(cclient.execute(kSql).sched.served_from_cache);
+  const std::string v_before = cached.data_version().hex();
+
+  // kSql never reads this file: the dataset's version moves, the query's
+  // does not, so the entry is still found…
+  fill_in_place(file_outside_footprint(f), 0.5f);
+  EXPECT_NE(cached.data_version().hex(), v_before);
+  storm::RemoteResult after = cclient.execute(kSql);
+  EXPECT_TRUE(after.sched.served_from_cache);
+  // …and is still the right answer.
+  storm::RemoteResult want = aclient.execute(kSql);
+  EXPECT_TRUE(after.merged().same_rows(want.merged()));
+}
+
+TEST(ServeE2ETest, RewriteInsideFootprintMissesAndReadsNewBytes) {
+  ServeFixture f;
+  storm::QueryServer cached = make_caching_server(f);
+  storm::QueryServer anchor(f.plan);
+  storm::QueryClient cclient("127.0.0.1", cached.port());
+  storm::QueryClient aclient("127.0.0.1", anchor.port());
+
+  (void)cclient.execute(kSql);
+  ASSERT_TRUE(cclient.execute(kSql).sched.served_from_cache);
+
+  // Every SOIL value of node 0 becomes 0.9 (> 0.25, so every row of that
+  // node's TIME window now matches).
+  fill_in_place(file_in_footprint(f), 0.9f);
+  storm::RemoteResult after = cclient.execute(kSql);
+  EXPECT_FALSE(after.sched.served_from_cache);
+  storm::RemoteResult want = aclient.execute(kSql);
+  EXPECT_TRUE(after.merged().same_rows(want.merged()));
+  EXPECT_EQ(node0_rows_matched(after), node0_window_rows(f));
+  // The fresh result was published: the next query hits it.
+  storm::RemoteResult again = cclient.execute(kSql);
+  EXPECT_TRUE(again.sched.served_from_cache);
+  EXPECT_TRUE(again.merged().same_rows(want.merged()));
+}
+
+TEST(ServeE2ETest, SidecarRebuildMissesEveryCachedQuery) {
+  ServeFixture f;
+  const std::string dir = f.tmp.str() + "/zm";
+  zonemap::ZoneMap zm = zonemap::ZoneMap::build(*f.plan);
+  zm.save(dir, *f.plan);
+  ServeOptions vs;
+  vs.enable_result_cache = true;
+  vs.version_sidecar_dir = dir;
+  storm::QueryServer server(f.plan, storm::ClusterOptions{}, 0, &zm,
+                            sched::SchedulerOptions{}, vs);
+  storm::QueryClient client("127.0.0.1", server.port());
+
+  const std::vector<std::string> queries = {
+      kSql, "SELECT REL, X, Y FROM IparsData WHERE REL = 1",
+      "SELECT TIME, SGAS FROM IparsData WHERE TIME >= 6"};
+  std::vector<storm::RemoteResult> cold;
+  for (const std::string& sql : queries) {
+    cold.push_back(client.execute(sql));
+    ASSERT_TRUE(client.execute(sql).sched.served_from_cache) << sql;
+  }
+
+  // Pruning decisions depend on the sidecar, so every footprint version
+  // folds it in: a rebuild (new mtime, same data) retires every entry.
+  std::this_thread::sleep_for(10ms);
+  zm.save(dir, *f.plan);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    storm::RemoteResult r = client.execute(queries[i]);
+    EXPECT_FALSE(r.sched.served_from_cache) << queries[i];
+    EXPECT_TRUE(r.merged().same_rows(cold[i].merged())) << queries[i];
+  }
+}
+
+TEST(ServeE2ETest, PlanEntryReusedAcrossRewriteMatchesUncached) {
+  ServeFixture f;
+  // Result cache off, plan cache on (the default): every query executes,
+  // repeats replay the cached node plans.
+  storm::QueryServer planned(f.plan);
+  ServeOptions no_plans;
+  no_plans.plan_cache_capacity = 0;
+  storm::QueryServer anchor(f.plan, storm::ClusterOptions{}, 0, nullptr,
+                            sched::SchedulerOptions{}, no_plans);
+  storm::QueryClient pclient("127.0.0.1", planned.port());
+  storm::QueryClient aclient("127.0.0.1", anchor.port());
+
+  (void)pclient.execute(kSql);
+  fill_in_place(file_in_footprint(f), 0.9f);
+  storm::RemoteResult got = pclient.execute(kSql);
+  PlanCache::Stats pc = planned.plan_cache_stats();
+  EXPECT_EQ(pc.hits, 1u);
+  EXPECT_EQ(pc.misses, 1u);
+  EXPECT_EQ(anchor.plan_cache_stats().capacity, 0u);
+
+  storm::RemoteResult want = aclient.execute(kSql);
+  EXPECT_TRUE(got.merged().same_rows(want.merged()));
+  EXPECT_EQ(node0_rows_matched(got), node0_window_rows(f));
 }
 
 TEST(ServeE2ETest, ServeCacheFaultCampaignStaysCorrect) {

@@ -701,5 +701,39 @@ TEST(PlanCacheTest, LruEvictsAndRecounts) {
   EXPECT_EQ(s.misses, 2u);
 }
 
+TEST(PlanCacheTest, OneShotKeysDoNotEvictRepeatedPlans) {
+  PlanCache cache(4);  // protected segment: 3 entries
+  meta::Schema schema;
+  schema.name = "S";
+  auto mk = [&] {
+    sql::SelectQuery q;
+    q.table = "S";
+    return std::make_shared<CachedPlan>(
+        expr::BoundQuery(std::move(q), schema));
+  };
+  for (const char* k : {"hot1", "hot2"}) {
+    cache.insert(k, mk());
+    ASSERT_NE(cache.find(k), nullptr);  // second use: protected
+  }
+  // A stream of queries seen once cycles through probation only.
+  for (int i = 0; i < 20; ++i) cache.insert("once" + std::to_string(i), mk());
+  EXPECT_NE(cache.find("hot1"), nullptr);
+  EXPECT_NE(cache.find("hot2"), nullptr);
+  EXPECT_EQ(cache.find("once17"), nullptr);
+  EXPECT_EQ(cache.stats().entries, 4u);
+
+  // Promotions beyond the protected segment demote its least recently
+  // used entry, which a later one-shot stream then evicts.
+  for (const char* k : {"hot3", "hot4"}) {
+    cache.insert(k, mk());
+    ASSERT_NE(cache.find(k), nullptr);
+  }
+  for (int i = 0; i < 4; ++i) cache.insert("later" + std::to_string(i), mk());
+  EXPECT_EQ(cache.find("hot1"), nullptr);
+  EXPECT_NE(cache.find("hot2"), nullptr);
+  EXPECT_NE(cache.find("hot3"), nullptr);
+  EXPECT_NE(cache.find("hot4"), nullptr);
+}
+
 }  // namespace
 }  // namespace adv

@@ -359,8 +359,9 @@ int cmd_query_remote(const Args& a) {
                 static_cast<unsigned long long>(ns.rows_matched));
   int sample = a.flag_int("csv", 10);
   if (sample > 0 && r.total_rows() > 0)
-    std::printf("\n%s",
-                r.merged().to_csv(static_cast<std::size_t>(sample)).c_str());
+    std::printf(
+        "\n%s",
+        std::move(r).merged().to_csv(static_cast<std::size_t>(sample)).c_str());
   return 0;
 }
 
