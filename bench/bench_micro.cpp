@@ -5,8 +5,8 @@
 //
 // After the microbenches, a multi-AFC scan-throughput section exercises
 // the full intra-node extraction pipeline (index -> extract -> partition
-// -> ship -> client tables) across io modes (mmap vs pread) and
-// threads_per_node, and writes the measurements to BENCH_micro.json so
+// -> ship -> client tables) across kernel loops and threads_per_node,
+// and writes the measurements to BENCH_micro.json so
 // the perf trajectory is trackable across PRs.  ADV_THREADS sets the
 // parallel worker count (default 4).
 #include <benchmark/benchmark.h>
@@ -134,7 +134,6 @@ BENCHMARK(BM_RTreeQuery);
 struct ScanConfig {
   const char* name;
   std::size_t threads_per_node;
-  IoMode io_mode;
   KernelMode kernel_mode;
 };
 
@@ -142,23 +141,17 @@ std::size_t bench_threads() {
   return static_cast<std::size_t>(env_int("ADV_THREADS", 4));
 }
 
-// The four legacy names stay pinned to the interpreter so their committed
+// The two legacy names stay pinned to the interpreter so their committed
 // baselines keep meaning across the kernel-engine change; the vector tier
 // gets its own entries.  Every par-* config has a seq-* twin —
 // scripts/bench_check.sh gates on the pairing (parallel must not lose to
 // sequential).
 std::vector<ScanConfig> scan_configs() {
   return {
-      // the pre-pipeline baseline path
-      {"seq-pread", 1, IoMode::kPread, KernelMode::kInterp},
-      {"seq-mmap", 1, IoMode::kMmap, KernelMode::kInterp},
-      {"par-pread", bench_threads(), IoMode::kPread, KernelMode::kInterp},
-      {"par-mmap", bench_threads(), IoMode::kMmap, KernelMode::kInterp},
-      {"seq-pread-vector", 1, IoMode::kPread, KernelMode::kVector},
-      {"seq-mmap-vector", 1, IoMode::kMmap, KernelMode::kVector},
-      {"par-pread-vector", bench_threads(), IoMode::kPread,
-       KernelMode::kVector},
-      {"par-mmap-vector", bench_threads(), IoMode::kMmap, KernelMode::kVector},
+      {"seq-mmap", 1, KernelMode::kInterp},
+      {"par-mmap", bench_threads(), KernelMode::kInterp},
+      {"seq-mmap-vector", 1, KernelMode::kVector},
+      {"par-mmap-vector", bench_threads(), KernelMode::kVector},
   };
 }
 
@@ -182,7 +175,6 @@ void run_scan_throughput(const dataset::GeneratedIpars& gen,
     for (const ScanConfig& c : configs) {
       storm::ClusterOptions opts;
       opts.threads_per_node = c.threads_per_node;
-      opts.io_mode = c.io_mode;
       opts.kernel_mode = c.kernel_mode;
       storm::StormCluster cluster(plan, opts);
       cluster.execute(sql);  // warmup: populate handle cache + page cache
@@ -199,7 +191,7 @@ void run_scan_throughput(const dataset::GeneratedIpars& gen,
         merged = r.merged();
       }
       // Every configuration must produce the same row set as the
-      // sequential-pread baseline (sorted comparison).
+      // sequential-mmap baseline (sorted comparison).
       bool identical = true;
       if (&c == &configs[0]) reference = merged;
       else identical = merged.same_rows(reference);
@@ -210,7 +202,6 @@ void run_scan_throughput(const dataset::GeneratedIpars& gen,
           .field("query", sql)
           .field("config", c.name)
           .field("threads_per_node", static_cast<uint64_t>(c.threads_per_node))
-          .field("io_mode", c.io_mode == IoMode::kMmap ? "mmap" : "pread")
           .field("kernel_mode", to_string(c.kernel_mode))
           .field("rows", rows)
           .field("bytes_read", bytes)
@@ -244,7 +235,6 @@ void run_zonemap_pruning(const dataset::GeneratedIpars& gen,
     for (const ScanConfig& c : scan_configs()) {
       VirtualTable::Options opt;
       opt.cluster.threads_per_node = c.threads_per_node;
-      opt.cluster.io_mode = c.io_mode;
       opt.cluster.kernel_mode = c.kernel_mode;
       opt.plan_cache_capacity = 0;  // measure planning every run
       if (indexed) {
@@ -275,7 +265,6 @@ void run_zonemap_pruning(const dataset::GeneratedIpars& gen,
           .field("query", sql)
           .field("config", name)
           .field("threads_per_node", static_cast<uint64_t>(c.threads_per_node))
-          .field("io_mode", c.io_mode == IoMode::kMmap ? "mmap" : "pread")
           .field("kernel_mode", to_string(c.kernel_mode))
           .field("zonemap", indexed)
           .field("rows", last.total_rows())
@@ -479,10 +468,9 @@ void run_agg_pushdown(const dataset::GeneratedIpars& gen,
        "SELECT * FROM IparsData ORDER BY SGAS DESC LIMIT 100"},
   };
   const std::vector<ScanConfig> configs = {
-      {"seq-mmap", 1, IoMode::kMmap, KernelMode::kInterp},
-      {"par-mmap", bench_threads(), IoMode::kMmap, KernelMode::kInterp},
-      {"par-mmap-vector", bench_threads(), IoMode::kMmap,
-       KernelMode::kVector},
+      {"seq-mmap", 1, KernelMode::kInterp},
+      {"par-mmap", bench_threads(), KernelMode::kInterp},
+      {"par-mmap-vector", bench_threads(), KernelMode::kVector},
   };
 
   bench::ResultTable table({"query", "config", "threads", "wall (s)",
@@ -494,7 +482,6 @@ void run_agg_pushdown(const dataset::GeneratedIpars& gen,
     for (const ScanConfig& c : configs) {
       storm::ClusterOptions opts;
       opts.threads_per_node = c.threads_per_node;
-      opts.io_mode = c.io_mode;
       opts.kernel_mode = c.kernel_mode;
       storm::StormCluster cluster(plan, opts);
       cluster.execute(b.sql);  // warmup

@@ -49,10 +49,8 @@ VirtualTable VirtualTable::open(const std::string& descriptor_text,
   // missing, unreadable, or has entries dropped for files that changed.
   if (options.build_zonemap &&
       (!vt.zonemap_ || vt.zonemap_->num_stale_files() > 0)) {
-    zonemap::ZoneMap::BuildOptions zopts;
-    zopts.io_mode = options.cluster.io_mode;
-    vt.zonemap_ = zonemap::ZoneMap::build(
-        *vt.plan_, vt.cluster_->extraction_pool(), zopts);
+    vt.zonemap_ = zonemap::ZoneMap::build(*vt.plan_,
+                                          vt.cluster_->extraction_pool());
     if (!options.zonemap_dir.empty())
       vt.zonemap_->save(options.zonemap_dir, *vt.plan_);
   }

@@ -102,7 +102,7 @@ GroupBinding bind_group(const afc::GroupPlan& gp, const expr::BoundQuery& q,
 const FileHandle& Extractor::handle(const std::string& path) {
   auto it = handles_.find(path);
   if (it == handles_.end())
-    it = handles_.emplace(path, FileCache::instance().open(path, io_mode_))
+    it = handles_.emplace(path, FileCache::instance().open(path))
              .first;
   return *it->second;
 }
@@ -213,14 +213,8 @@ ExtractStats Extractor::extract(const afc::GroupPlan& gp, const afc::Afc& a,
       if (cp.bytes_per_row == 0) continue;
       std::size_t bytes = static_cast<std::size_t>(n) * cp.bytes_per_row;
       uint64_t offset = a.offsets[c] + done * cp.bytes_per_row;
-      const FileHandle* h = handles[static_cast<std::size_t>(cp.file)];
-      if (h->mapped_data()) {
-        srcs[c] = h->mapped_range(bytes, offset);
-      } else {
-        if (bufs_[c].size() < bytes) bufs_[c].resize(bytes);
-        h->pread_exact(bufs_[c].data(), bytes, offset);
-        srcs[c] = bufs_[c].data();
-      }
+      srcs[c] = handles[static_cast<std::size_t>(cp.file)]->read_at(
+          bytes, offset, bufs_[c]);
       stats.bytes_read += bytes;
     }
     if (interp)

@@ -127,7 +127,6 @@ struct ExtractorOptions {
   // Bounds memory on the pread path: at most ~batch_bytes are buffered per
   // chunk while streaming one AFC.  The mmap path needs no buffering.
   std::size_t batch_bytes = 1 << 20;
-  IoMode io_mode = IoMode::kAuto;
   // Cooperative cancellation: polled once per decode batch (batches are
   // capped when a token is present so even a fully-mapped AFC polls every
   // ~64Ki rows); a fired token aborts with CancelledError.
@@ -142,11 +141,8 @@ struct ExtractorOptions {
 // each worker its own.
 class Extractor {
  public:
-  explicit Extractor(std::size_t batch_bytes)
-      : Extractor(ExtractorOptions{batch_bytes, IoMode::kAuto}) {}
   explicit Extractor(const ExtractorOptions& opts = {})
       : batch_bytes_(opts.batch_bytes),
-        io_mode_(resolve_io_mode(opts.io_mode)),
         cancel_(opts.cancel),
         kernel_mode_(opts.kernel_mode) {}
 
@@ -188,7 +184,6 @@ class Extractor {
                   uint64_t n, ExtractStats& stats);
 
   std::size_t batch_bytes_;
-  IoMode io_mode_;
   const CancelToken* cancel_ = nullptr;
   KernelMode kernel_mode_ = KernelMode::kVector;
   // Shared handles pinned for this extractor's lifetime.

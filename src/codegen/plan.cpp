@@ -8,7 +8,6 @@
 #include <numeric>
 
 #include "common/io.h"
-#include "common/thread_pool.h"
 #include "common/string_util.h"
 
 namespace adv::codegen {
@@ -222,51 +221,6 @@ expr::Table DataServicePlan::execute(const expr::BoundQuery& q,
   }
   if (stats) *stats = total;
   if (q.is_pushdown()) return naive_pushdown(q, out);
-  return out;
-}
-
-expr::Table DataServicePlan::execute_parallel(
-    const expr::BoundQuery& q, int threads, const afc::PlannerOptions& opts,
-    ExtractStats* stats) const {
-  if (threads < 1) throw QueryError("execute_parallel: threads must be >= 1");
-  // Pushdown queries delegate to the sequential path: the naive reference
-  // accumulates plain doubles, so its SUM/AVG values depend on fold order —
-  // one fixed order keeps the reference deterministic (the engine's own
-  // parallelism is exercised by StormCluster, not here).
-  if (q.is_pushdown()) return execute(q, opts, stats);
-  afc::PlanResult pr = index_fn(q, opts);
-  std::vector<GroupBinding> bindings;
-  bindings.reserve(pr.groups.size());
-  for (const auto& g : pr.groups)
-    bindings.push_back(bind_group(g, q, model_->schema()));
-
-  std::vector<expr::Table> parts(static_cast<std::size_t>(threads),
-                                 expr::Table(q.result_columns()));
-  std::vector<ExtractStats> part_stats(static_cast<std::size_t>(threads));
-  ThreadPool pool(static_cast<std::size_t>(threads));
-  pool.parallel_for(static_cast<std::size_t>(threads), [&](std::size_t w) {
-    ExtractorOptions xopts;
-    xopts.kernel_mode = KernelMode::kInterp;
-    Extractor ex(xopts);
-    for (std::size_t i = w; i < pr.afcs.size();
-         i += static_cast<std::size_t>(threads)) {
-      const afc::Afc& a = pr.afcs[i];
-      part_stats[w] +=
-          ex.extract(pr.groups[static_cast<std::size_t>(a.group)], a,
-                     bindings[static_cast<std::size_t>(a.group)], q,
-                     parts[w]);
-    }
-  });
-  expr::Table out = std::move(parts[0]);
-  ExtractStats total = part_stats[0];
-  for (std::size_t w = 1; w < parts.size(); ++w) {
-    out.append_table(parts[w]);
-    total += part_stats[w];
-  }
-  total.afcs_pruned += pr.stats.afcs_filtered_by_index;
-  total.rows_pruned += pr.stats.rows_pruned;
-  total.bytes_skipped += pr.stats.bytes_skipped;
-  if (stats) *stats = total;
   return out;
 }
 

@@ -54,14 +54,6 @@ class DataServicePlan {
                       const afc::PlannerOptions& opts = {},
                       ExtractStats* stats = nullptr) const;
 
-  // Multi-threaded execution: AFCs are distributed round-robin over
-  // `threads` workers, each with its own extractor, and the partial tables
-  // are concatenated.  Row order differs from execute(); the row set is
-  // identical.
-  expr::Table execute_parallel(const expr::BoundQuery& q, int threads,
-                               const afc::PlannerOptions& opts = {},
-                               ExtractStats* stats = nullptr) const;
-
   // Integrity check: every concrete file must exist with the byte size the
   // layout implies.  Returns human-readable problem descriptions (empty
   // when everything checks out).

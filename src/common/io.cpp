@@ -8,10 +8,10 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
-#include "common/env.h"
 #include "faultz/faultz.h"
 
 namespace adv {
@@ -36,12 +36,6 @@ FileHandle::FileId id_from_stat(const struct stat& st) {
   return id;
 }
 }  // namespace
-
-IoMode resolve_io_mode(IoMode mode) {
-  if (mode != IoMode::kAuto) return mode;
-  std::string v = env_str("ADV_IO_MODE", "mmap");
-  return v == "pread" ? IoMode::kPread : IoMode::kMmap;
-}
 
 FileHandle::FileId FileHandle::stat_id(const std::string& path) {
   struct stat st;
@@ -124,6 +118,14 @@ const unsigned char* FileHandle::mapped_range(std::size_t n,
   return map_ + offset;
 }
 
+const unsigned char* FileHandle::read_at(
+    std::size_t n, uint64_t offset, std::vector<unsigned char>& scratch) const {
+  if (map_) return mapped_range(n, offset);
+  if (scratch.size() < n) scratch.resize(n);
+  pread_exact(scratch.data(), n, offset);
+  return scratch.data();
+}
+
 uint64_t FileHandle::size() const {
   struct stat st;
   if (::fstat(fd_, &st) != 0) throw IoError(errno_message("fstat", path_));
@@ -161,38 +163,29 @@ FileCache& FileCache::instance() {
   return cache;
 }
 
-std::shared_ptr<const FileHandle> FileCache::open(const std::string& path,
-                                                  IoMode mode) {
-  const bool want_map = resolve_io_mode(mode) == IoMode::kMmap;
+std::shared_ptr<const FileHandle> FileCache::open(const std::string& path) {
+  // Serve a cached handle only while the on-disk file is still the one it
+  // was opened against.  Comparing dev/inode/size *and* nanosecond mtime
+  // catches in-place rewrites that keep the size and land within the same
+  // second — coarse whole-second mtimes would miss those.  The stat runs
+  // before the lock so concurrent opens do not queue behind each other's
+  // syscalls; a failed stat (file deleted) drops the entry, and reopening
+  // below then reports the real error.
+  std::optional<FileHandle::FileId> on_disk;
+  try {
+    on_disk = FileHandle::stat_id(path);
+  } catch (const IoError&) {
+  }
   std::lock_guard<std::mutex> lk(mu_);
   auto it = cache_.find(path);
   if (it != cache_.end()) {
-    // Serve the cached handle only while the on-disk file is still the one
-    // it was opened against.  Comparing dev/inode/size *and* nanosecond
-    // mtime catches in-place rewrites that keep the size and land within
-    // the same second — coarse whole-second mtimes would miss those.  A
-    // failed stat (file deleted) also drops the entry; reopening below then
-    // reports the real error.
-    bool fresh = false;
-    try {
-      fresh = FileHandle::stat_id(path) == it->second->id();
-    } catch (const IoError&) {
-    }
-    if (!fresh) {
-      cache_.erase(it);
-      it = cache_.end();
-    }
-  }
-  if (it != cache_.end()) {
-    // A handle is never mutated after insertion (mapping it in place would
-    // race with lock-free readers); when a mapping is wanted but the cached
-    // handle has none, a fresh mapped handle replaces the entry and the old
-    // one stays alive for whoever still holds it.
-    if (!want_map || it->second->mapped_data()) return it->second;
+    if (on_disk && *on_disk == it->second->id()) return it->second;
     cache_.erase(it);
   }
+  // A handle is never mutated after insertion (mapping it later would race
+  // with lock-free readers), so a refused mapping stays a pread handle.
   auto handle = std::make_shared<FileHandle>(path);
-  if (want_map) (void)handle->map();
+  (void)handle->map();
   if (cache_.size() >= capacity_) {
     // Evict handles nobody else holds; in-flight ones stay shared.
     for (auto e = cache_.begin(); e != cache_.end();) {

@@ -1,12 +1,14 @@
 // RAII file handles and buffered readers/writers over POSIX descriptors.
 //
-// The data-extraction hot path reads aligned file chunks either through a
-// read-only memory mapping (the default: extraction decodes straight out of
-// the page cache, no copy into a user buffer) or with positioned reads
-// (pread, the fallback).  A single FileHandle can be shared by code that
-// walks several chunks of the same file without seek-state interference,
-// and a process-wide FileCache shares handles across threads so concurrent
-// extraction workers do not reopen (and remap) the same files.
+// The data-extraction hot path reads aligned file chunks through a
+// read-only memory mapping (extraction decodes straight out of the page
+// cache, no copy into a user buffer).  When a file cannot be mapped (it is
+// empty, or mmap refuses), the same handle serves positioned reads (pread)
+// into the caller's scratch buffer instead.  A single FileHandle can be
+// shared by code that walks several chunks of the same file without
+// seek-state interference, and a process-wide FileCache shares handles
+// across threads so concurrent extraction workers do not reopen (and remap)
+// the same files.
 #pragma once
 
 #include <cstddef>
@@ -21,17 +23,6 @@
 #include "common/error.h"
 
 namespace adv {
-
-// How extraction reads chunk bytes from data files.
-enum class IoMode : uint8_t {
-  kAuto,   // resolve from env ADV_IO_MODE ("mmap"/"pread"), default mmap
-  kMmap,   // read-only mapping with sequential readahead advice
-  kPread,  // positioned reads into per-worker buffers
-};
-
-// Resolves kAuto against the ADV_IO_MODE environment variable; other
-// values pass through unchanged.
-IoMode resolve_io_mode(IoMode mode);
 
 // Read-only file opened with open(2), optionally memory-mapped.  Move-only.
 class FileHandle {
@@ -75,8 +66,8 @@ class FileHandle {
 
   // Maps the whole file read-only with POSIX_MADV_SEQUENTIAL |
   // POSIX_MADV_WILLNEED readahead advice.  Returns true on success; false
-  // when the file is empty or the platform refuses the mapping (callers
-  // fall back to pread).  Idempotent, but NOT thread-safe: map before
+  // when the file is empty or the platform refuses the mapping (read_at
+  // then falls back to pread).  Idempotent, but NOT thread-safe: map before
   // publishing the handle to other threads (FileCache does this).
   bool map();
 
@@ -89,6 +80,12 @@ class FileHandle {
   // when not mapped or the range runs past end-of-file (the moral
   // equivalent of pread_exact's short-read error).
   const unsigned char* mapped_range(std::size_t n, uint64_t offset) const;
+
+  // The one read path: `n` bytes at `offset`, straight out of the mapping
+  // when the file is mapped, otherwise pread_exact'd into `scratch` (grown
+  // as needed).  The pointer stays valid until `scratch` is next written.
+  const unsigned char* read_at(std::size_t n, uint64_t offset,
+                               std::vector<unsigned char>& scratch) const;
 
   // Reads exactly `n` bytes at absolute `offset` into `out`.
   // Throws IoError on short read or error.
@@ -119,15 +116,14 @@ class FileCache {
 
   explicit FileCache(std::size_t capacity = 512) : capacity_(capacity) {}
 
-  // Returns the cached handle for `path`, opening (and, when `mode`
-  // resolves to kMmap, mapping) it on first use.  A handle opened without
-  // a mapping is upgraded in place when a kMmap request arrives later.  A
-  // cache hit is revalidated against the file's current FileId
+  // Returns the cached handle for `path`, opening and mapping it on first
+  // use.  A file whose mapping is refused (empty, mmap failure, injected
+  // mmap.fail) is cached unmapped and served by pread until the entry is
+  // dropped.  A cache hit is revalidated against the file's current FileId
   // (dev/inode/size/nanosecond mtime): a rewritten file — even same-size,
   // same-second — gets a fresh handle instead of stale cached bytes.
   // Throws IoError when the file cannot be opened.
-  std::shared_ptr<const FileHandle> open(const std::string& path,
-                                         IoMode mode = IoMode::kAuto);
+  std::shared_ptr<const FileHandle> open(const std::string& path);
 
   // Drops every cached handle (in-flight shared_ptrs stay valid).  Call
   // after rewriting data files so stale handles are not served.

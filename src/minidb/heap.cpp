@@ -177,16 +177,10 @@ void HeapFileReader::decode_page(
 
 void HeapFileReader::scan(const std::function<void(const double*)>& fn,
                           HeapStats* stats) const {
-  std::vector<unsigned char> page(is_mapped() ? 0 : kPageSize);
+  std::vector<unsigned char> page;
   for (uint32_t pno = 1; pno < page_count_; ++pno) {
-    const uint64_t off = static_cast<uint64_t>(pno) * kPageSize;
-    const unsigned char* p;
-    if (is_mapped()) {
-      p = file_.mapped_range(kPageSize, off);
-    } else {
-      file_.pread_exact(page.data(), kPageSize, off);
-      p = page.data();
-    }
+    const unsigned char* p = file_.read_at(
+        kPageSize, static_cast<uint64_t>(pno) * kPageSize, page);
     if (stats) stats->pages_read++;
     decode_page(p, pno, [&](uint16_t, const double* row) {
       if (stats) stats->tuples_read++;
@@ -198,19 +192,14 @@ void HeapFileReader::scan(const std::function<void(const double*)>& fn,
 void HeapFileReader::fetch(const std::vector<TupleId>& sorted_tids,
                            const std::function<void(const double*)>& fn,
                            HeapStats* stats) const {
-  std::vector<unsigned char> buf(is_mapped() ? 0 : kPageSize);
+  std::vector<unsigned char> buf;
   const unsigned char* page = nullptr;
   uint32_t loaded_page = 0;  // page 0 is the header, never fetched
   std::vector<double> row(cols_.size());
   for (const TupleId& tid : sorted_tids) {
     if (tid.page != loaded_page || page == nullptr) {
-      const uint64_t poff = static_cast<uint64_t>(tid.page) * kPageSize;
-      if (is_mapped()) {
-        page = file_.mapped_range(kPageSize, poff);
-      } else {
-        file_.pread_exact(buf.data(), kPageSize, poff);
-        page = buf.data();
-      }
+      page = file_.read_at(
+          kPageSize, static_cast<uint64_t>(tid.page) * kPageSize, buf);
       loaded_page = tid.page;
       if (stats) stats->pages_read++;
     }

@@ -75,7 +75,6 @@ class HeapFileReader {
   // false when the platform refuses the mapping (readers fall back to
   // pread transparently).  Call before sharing the reader across threads.
   bool map() { return file_.map(); }
-  bool is_mapped() const { return file_.mapped_data() != nullptr; }
 
   // Full scan: decodes every tuple into `row` (one double per column) and
   // invokes fn(row).  Page-at-a-time I/O.

@@ -47,7 +47,7 @@ void run_node(int node, const codegen::DataServicePlan& plan,
     // The pool is shared by every node worker, so size this node's range
     // fan-out for its *share* of the pool: every node splitting into
     // pool->size() * 4 ranges of its own would multiply the per-range
-    // setup cost (extractor scratch, pread batch buffers, per-consumer
+    // setup cost (extractor scratch, read batch buffers, per-consumer
     // pending batches) by the node count without adding parallelism —
     // measurably slower on short filtered scans (see docs/PIPELINE.md).
     const std::size_t sharing =
@@ -61,13 +61,9 @@ void run_node(int node, const codegen::DataServicePlan& plan,
     // Admission heuristic: don't split below ~min_rows_per_worker rows per
     // range — on small post-pruning scans the per-range setup cost exceeds
     // the parallel win and par-* configs lose to seq-* (docs/PIPELINE.md).
-    uint64_t min_rows = opts.min_rows_per_worker;
-    if (min_rows == 0)
-      min_rows = static_cast<uint64_t>(
-          std::max<int64_t>(1, env_int("ADV_MIN_ROWS_PER_WORKER", 64 * 1024)));
+    const uint64_t min_rows = std::max<uint64_t>(1, opts.min_rows_per_worker);
     ntasks = std::min<std::size_t>(
-        ntasks,
-        std::max<uint64_t>(1, base[nafcs] / min_rows));
+        ntasks, std::max<uint64_t>(1, base[nafcs] / min_rows));
     if (!pool || pool->size() <= 1 || ntasks <= 1) ntasks = 1;
 
     // Contiguous ranges cut at balanced row counts, so one heavyweight

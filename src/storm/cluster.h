@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "common/io.h"
 #include "common/kernel_mode.h"
 #include "common/thread_pool.h"
 #include "storm/services.h"
@@ -119,12 +118,10 @@ struct ClusterOptions {
   // 0 = env ADV_THREADS_PER_NODE, defaulting to hardware_concurrency;
   // 1 = scan each node's AFC list inline.
   std::size_t threads_per_node = 0;
-  // kAuto honors env ADV_IO_MODE ("mmap"/"pread"), defaulting to mmap.
-  IoMode io_mode = IoMode::kAuto;
   // Transient-read recovery: an AFC whose extraction dies with an IoError
   // is retried up to `io_retry_limit` more times (exponential backoff
   // starting at `io_retry_backoff_us`), provided none of its rows were
-  // already shipped — a flaky pread heals invisibly, a hard fault still
+  // already shipped — a flaky read heals invisibly, a hard fault still
   // fails the node after the budget.  0 disables retry.
   std::size_t io_retry_limit = 2;
   uint64_t io_retry_backoff_us = 100;
@@ -133,11 +130,10 @@ struct ClusterOptions {
   KernelMode kernel_mode = KernelMode::kVector;
   // Admission heuristic: a node splits its AFC list into at most
   // total_rows / min_rows_per_worker parallel ranges, so each range worker
-  // amortizes its setup (extractor scratch, pread buffers, per-consumer
-  // pending batches) over a meaningful row count and par-* configs never
-  // lose to seq-* on small post-pruning scans.  0 = env
-  // ADV_MIN_ROWS_PER_WORKER, defaulting to 64Ki rows.
-  uint64_t min_rows_per_worker = 0;
+  // amortizes its setup (extractor scratch, per-consumer pending batches)
+  // over a meaningful row count and par-* configs never lose to seq-* on
+  // small post-pruning scans.  Values below 1 act as 1.
+  uint64_t min_rows_per_worker = 64 * 1024;
 };
 
 class StormCluster {

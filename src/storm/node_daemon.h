@@ -44,7 +44,7 @@ namespace adv::storm {
 struct NodeDaemonOptions {
   int node_id = 0;
   int port = 0;  // 0 = ephemeral; see NodeDaemon::port()
-  // io_mode / kernel_mode / io_retry budget / batch_rows apply to the
+  // kernel_mode / io_retry budget / batch_rows apply to the
   // daemon's local extraction exactly as they do in-process.
   ClusterOptions cluster;
   // Node-local chunk index (zone map) consulted during planning.  Replicas

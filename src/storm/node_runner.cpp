@@ -85,7 +85,6 @@ NodeRunner::NodeRunner(const codegen::DataServicePlan& plan,
   for (std::size_t i = 0; i < pr.afcs.size(); ++i)
     base_[i + 1] = base_[i] + pr.afcs[i].num_rows;
 
-  xopts_.io_mode = opts.io_mode;
   xopts_.cancel = cancel;
   xopts_.kernel_mode = opts.kernel_mode;
 

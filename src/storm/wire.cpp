@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "faultz/faultz.h"
@@ -59,8 +60,21 @@ std::pair<MsgType, Payload> recv_frame(int fd) {
   if (len > (64u << 20))
     throw IoError("oversized network frame (" + std::to_string(len) +
                   " bytes)");
-  std::vector<unsigned char> data(len);
-  if (len) read_all(fd, data.data(), len);
+  // The length is the peer's claim, not bytes in hand: read in steps of at
+  // most 1 MiB and grow the buffer as they arrive, so a peer that announces
+  // 64 MiB and then stalls or hangs up pins memory in proportion to what it
+  // actually sent.
+  constexpr std::size_t kStep = 1u << 20;
+  std::vector<unsigned char> data;
+  for (std::size_t off = 0; off < len;) {
+    const std::size_t n = std::min<std::size_t>(len - off, kStep);
+    // Geometric growth, capped at the announced length.
+    data.reserve(std::min<std::size_t>(
+        len, std::max(off + n, 2 * data.capacity())));
+    data.resize(off + n);
+    read_all(fd, data.data() + off, n);
+    off += n;
+  }
   return {static_cast<MsgType>(header[4]), Payload(std::move(data))};
 }
 

@@ -13,6 +13,7 @@
 
 #include "codegen/plan.h"
 #include "common/error.h"
+#include "common/io.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "faultz/faultz.h"
@@ -186,8 +187,6 @@ ZoneMap ZoneMap::build(const codegen::DataServicePlan& plan, ThreadPool* pool,
   }
 
   // One bounds row per AFC (task order).
-  codegen::ExtractorOptions xopts;
-  xopts.io_mode = opts.io_mode;
   std::vector<double> scanned(tasks.size() * width);
   auto scan_one = [&](std::size_t t, codegen::Extractor& ex) {
     const afc::PlanResult& pr = prs[tasks[t].pr];
@@ -198,11 +197,11 @@ ZoneMap ZoneMap::build(const codegen::DataServicePlan& plan, ThreadPool* pool,
   };
   if (pool && pool->size() > 1 && tasks.size() > 1) {
     pool->parallel_for(tasks.size(), [&](std::size_t t) {
-      codegen::Extractor ex(xopts);
+      codegen::Extractor ex;
       scan_one(t, ex);
     });
   } else {
-    codegen::Extractor ex(xopts);
+    codegen::Extractor ex;
     for (std::size_t t = 0; t < tasks.size(); ++t) scan_one(t, ex);
   }
 

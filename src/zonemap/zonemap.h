@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "afc/types.h"
-#include "common/io.h"
 
 namespace adv {
 class ThreadPool;
@@ -41,7 +40,6 @@ namespace adv::zonemap {
 class ZoneMap : public afc::ChunkFilter, public afc::ChunkBoundsSource {
  public:
   struct BuildOptions {
-    IoMode io_mode = IoMode::kAuto;
     // Schema attribute indices to cover; empty = every stored attribute.
     std::vector<int> attrs;
   };

@@ -18,6 +18,7 @@
 #include "afc/reference.h"
 #include "agg/agg.h"
 #include "agg/exact_sum.h"
+#include "common/io.h"
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
 #include "dataset/titan.h"
@@ -380,9 +381,7 @@ TEST(AggClusterTest, GroupedTopK) {
 
 TEST(AggClusterTest, IoFaultRetryDoesNotDoubleCount) {
   Fixture f;
-  storm::ClusterOptions opts;
-  opts.io_mode = IoMode::kPread;  // pread.* fault sites live on this path
-  storm::StormCluster cluster(f.plan, opts);
+  storm::StormCluster cluster(f.plan);
   const char* sql =
       "SELECT TIME, COUNT(*), SUM(SOIL) FROM IparsData GROUP BY TIME";
   storm::QueryResult clean = cluster.execute(sql);
@@ -390,12 +389,17 @@ TEST(AggClusterTest, IoFaultRetryDoesNotDoubleCount) {
   uint64_t retries = 0;
   expr::Table faulted;
   {
-    faultz::ScopedFaultPlan scope(11, "pread.eio=0.3:6");
+    // Refused mappings put every read on the pread fallback, where the
+    // pread.* fault sites live; clearing the cache drops the mapped
+    // handles the clean run left behind.
+    FileCache::instance().clear();
+    faultz::ScopedFaultPlan scope(11, "mmap.fail=1,pread.eio=0.3:6");
     storm::QueryResult r = cluster.execute(sql);
     ASSERT_EQ(r.first_error(), "") << "retry budget should absorb the faults";
     retries = r.total_io_retries();
     faulted = r.merged();
   }
+  FileCache::instance().clear();
   EXPECT_GT(retries, 0u) << "campaign never fired; the test is vacuous";
   EXPECT_TRUE(tables_bit_identical(clean.merged(), faulted));
 }

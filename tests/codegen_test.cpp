@@ -13,6 +13,7 @@
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
 #include "dataset/titan.h"
+#include "faultz/faultz.h"
 
 namespace adv::codegen {
 namespace {
@@ -244,6 +245,7 @@ TEST(PlanApi, MissingRootDirectory) {
 
 TEST(ExtractorTest, TinyBatchSizeStreamsCorrectly) {
   // Force multi-batch streaming with a pathologically small batch buffer.
+  // batch_bytes bounds only the pread fallback, so refuse every mapping.
   dataset::IparsConfig cfg = small_cfg();
   TempDir tmp("batch");
   auto gen = dataset::generate_ipars(cfg, dataset::IparsLayout::kII, tmp.str());
@@ -253,12 +255,18 @@ TEST(ExtractorTest, TinyBatchSizeStreamsCorrectly) {
 
   afc::PlanResult pr = plan.index_fn(q);
   expr::Table out(q.result_columns());
-  Extractor tiny(8);  // 8-byte batches: one row at a time
   std::vector<GroupBinding> bindings;
   for (const auto& g : pr.groups)
     bindings.push_back(bind_group(g, q, plan.schema()));
-  for (const auto& a : pr.afcs)
-    tiny.extract(pr.groups[a.group], a, bindings[a.group], q, out);
+  {
+    FileCache::instance().clear();
+    faultz::ScopedFaultPlan scope(1, "mmap.fail=1");
+    // 8-byte batches: one row per pread.
+    Extractor tiny(ExtractorOptions{.batch_bytes = 8});
+    for (const auto& a : pr.afcs)
+      tiny.extract(pr.groups[a.group], a, bindings[a.group], q, out);
+  }
+  FileCache::instance().clear();
 
   expr::Table want = dataset::ipars_oracle(cfg, q);
   EXPECT_TRUE(out.same_rows(want));

@@ -15,6 +15,7 @@
 #include "common/tempdir.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
+#include "faultz/faultz.h"
 
 namespace adv {
 namespace {
@@ -139,8 +140,8 @@ TEST(FileCacheTest, HitsShareOneHandle) {
   std::string path = tmp.file("d.bin");
   write_text_file(path, "0123456789");
   FileCache cache(8);
-  auto a = cache.open(path, IoMode::kPread);
-  auto b = cache.open(path, IoMode::kPread);
+  auto a = cache.open(path);
+  auto b = cache.open(path);
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -150,7 +151,7 @@ TEST(FileCacheTest, SameSizeSameSecondRewriteGetsFreshHandle) {
   std::string path = tmp.file("d.bin");
   write_text_file(path, "old payload!");
   FileCache cache(8);
-  auto stale = cache.open(path, IoMode::kMmap);
+  auto stale = cache.open(path);
   FileHandle::FileId before = stale->id();
 
   // Rewrite in place: same path, same byte count, same wall-clock second.
@@ -159,11 +160,39 @@ TEST(FileCacheTest, SameSizeSameSecondRewriteGetsFreshHandle) {
   write_text_file(path, "new payload!");
   EXPECT_NE(FileHandle::stat_id(path), before);
 
-  auto fresh = cache.open(path, IoMode::kMmap);
+  auto fresh = cache.open(path);
   EXPECT_NE(fresh.get(), stale.get());
   char buf[12];
   fresh->pread_exact(buf, sizeof buf, 0);
   EXPECT_EQ(std::string(buf, sizeof buf), "new payload!");
+}
+
+TEST(FileCacheTest, RefusedMapIsServedByPread) {
+  TempDir tmp("fc");
+  std::string path = tmp.file("d.bin");
+  write_text_file(path, "0123456789");
+  FileCache cache(8);
+  std::shared_ptr<const FileHandle> h;
+  {
+    faultz::ScopedFaultPlan scope(1, "mmap.fail=1");
+    h = cache.open(path);
+  }
+  EXPECT_EQ(h->mapped_data(), nullptr);
+  std::vector<unsigned char> scratch;
+  const unsigned char* p = h->read_at(4, 3, scratch);
+  EXPECT_EQ(p, scratch.data());
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(p), 4), "3456");
+  EXPECT_THROW(h->read_at(4, 8, scratch), IoError);
+  // The unmapped handle stays cached: a later open is a plain hit.
+  EXPECT_EQ(cache.open(path).get(), h.get());
+
+  // A mapped handle reads in place and leaves the scratch buffer alone.
+  cache.clear();
+  auto m = cache.open(path);
+  ASSERT_NE(m->mapped_data(), nullptr);
+  std::vector<unsigned char> untouched;
+  EXPECT_EQ(m->read_at(4, 3, untouched), m->mapped_data() + 3);
+  EXPECT_TRUE(untouched.empty());
 }
 
 TEST(FileCacheTest, DeletedFileIsEvictedOnNextOpen) {
@@ -171,12 +200,12 @@ TEST(FileCacheTest, DeletedFileIsEvictedOnNextOpen) {
   std::string path = tmp.file("gone.bin");
   write_text_file(path, "x");
   FileCache cache(8);
-  auto h = cache.open(path, IoMode::kPread);
+  auto h = cache.open(path);
   EXPECT_TRUE(h->is_open());
   std::filesystem::remove(path);
   // The revalidating stat fails -> the cached entry is dropped and the
   // reopen surfaces the real error instead of serving deleted bytes.
-  EXPECT_THROW(cache.open(path, IoMode::kPread), IoError);
+  EXPECT_THROW(cache.open(path), IoError);
   EXPECT_EQ(cache.size(), 0u);
 }
 

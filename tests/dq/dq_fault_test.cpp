@@ -187,14 +187,18 @@ TEST(FaultRecoveryTest, RetryHealsTransientReadFaults) {
 
   VirtualTable::Options vopts;
   vopts.plan_cache_capacity = 0;
-  vopts.cluster.io_mode = IoMode::kPread;  // every read hits the pread hooks
   VirtualTable vt = VirtualTable::open(text, "DqData", tmp.str(), vopts);
 
-  // The first two preads of the query fail with EIO; the per-AFC retry
-  // must absorb both and still return exactly the right rows.
-  faultz::ScopedFaultPlan scope(11, "pread.eio=1:2");
-  FileCache::instance().clear();  // reads must traverse the hooked path
-  storm::QueryResult r = vt.query_detailed(s.sql);
+  // Every mapping is refused, so every read hits the pread hooks.  The
+  // first two preads of the query fail with EIO; the per-AFC retry must
+  // absorb both and still return exactly the right rows.
+  storm::QueryResult r;
+  {
+    faultz::ScopedFaultPlan scope(11, "mmap.fail=1,pread.eio=1:2");
+    FileCache::instance().clear();  // reads must traverse the hooked path
+    r = vt.query_detailed(s.sql);
+  }
+  FileCache::instance().clear();
   EXPECT_TRUE(rows_equal_exact(r.merged(), want));
   EXPECT_GE(r.total_io_retries(), 1u);
   EXPECT_TRUE(r.first_error().empty());
@@ -206,7 +210,6 @@ TEST(FaultRecoveryTest, ExhaustedRetryBudgetFailsTyped) {
   std::string text = s.d.descriptor();
   VirtualTable::Options vopts;
   vopts.plan_cache_capacity = 0;
-  vopts.cluster.io_mode = IoMode::kPread;
   vopts.cluster.io_retry_limit = 1;
   VirtualTable vt = VirtualTable::open(text, "DqData", tmp.str(), vopts);
   {
@@ -214,18 +217,23 @@ TEST(FaultRecoveryTest, ExhaustedRetryBudgetFailsTyped) {
     codegen::DataServicePlan refplan(desc, "DqData", tmp.str());
     write_files(s.d, refplan.model());
   }
-  // Every pread fails: the budget runs out and the query must surface a
-  // typed IoError (the injected EIO arrives via errno, so the message is
-  // the production pread failure), not hang or return rows.
-  faultz::ScopedFaultPlan scope(12, "pread.eio=1");
-  FileCache::instance().clear();
-  try {
-    vt.query(s.sql);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("pread"), std::string::npos)
-        << e.what();
+  // Every mapping is refused and every pread fails: the budget runs out
+  // and the query must surface a typed IoError (the injected EIO arrives
+  // via errno, so the message is the production pread failure), not hang
+  // or return rows.
+  std::string what;
+  {
+    faultz::ScopedFaultPlan scope(12, "mmap.fail=1,pread.eio=1");
+    FileCache::instance().clear();
+    try {
+      vt.query(s.sql);
+    } catch (const IoError& e) {
+      what = e.what();
+    }
   }
+  FileCache::instance().clear();
+  ASSERT_FALSE(what.empty()) << "expected IoError";
+  EXPECT_NE(what.find("pread"), std::string::npos) << what;
 }
 
 TEST(FaultRecoveryTest, PartialResultsSurviveNodeDeath) {

@@ -15,6 +15,7 @@
 #include "codegen/plan.h"
 #include "common/cancel.h"
 #include "common/env.h"
+#include "common/io.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/tempdir.h"
@@ -133,7 +134,11 @@ class CampaignScope {
     }
   }
   ~CampaignScope() {
-    if (armed_) faultz::FaultPlan::instance().disarm();
+    if (!armed_) return;
+    faultz::FaultPlan::instance().disarm();
+    // Handles whose mapping the campaign refused stay on pread while
+    // cached; drop them so later runs map again.
+    FileCache::instance().clear();
   }
   CampaignScope(const CampaignScope&) = delete;
   CampaignScope& operator=(const CampaignScope&) = delete;
@@ -208,7 +213,6 @@ std::string replay_command(uint64_t seed, const DqOptions& opts) {
   if (opts.with_server) os << " --server";
   if (opts.with_dist) os << " --dist";
   if (opts.partial_results) os << " --partial";
-  if (opts.io_mode == IoMode::kPread) os << " --pread";
   if (opts.kernel_mode != KernelMode::kVector)
     os << " --kernel " << to_string(opts.kernel_mode);
   return os.str();
@@ -265,7 +269,6 @@ DqReport run_case(const DqDataset& d,
   vopts.zonemap_dir = zm_dir;
   vopts.plan_cache_capacity = 8;
   vopts.partial_results = opts.partial_results;
-  vopts.cluster.io_mode = opts.io_mode;
   vopts.cluster.kernel_mode = opts.kernel_mode;
   VirtualTable vt = VirtualTable::open(text, d.name, tmp.str(), vopts);
 
@@ -311,7 +314,6 @@ DqReport run_case(const DqDataset& d,
     auto splan =
         std::make_shared<codegen::DataServicePlan>(desc, d.name, tmp.str());
     storm::ClusterOptions copts;
-    copts.io_mode = opts.io_mode;
     copts.kernel_mode = opts.kernel_mode;
     // Result cache on: the second served round below replays each query
     // from the cache, so the differential also proves cached rows are
@@ -338,7 +340,6 @@ DqReport run_case(const DqDataset& d,
     for (int n = 0; n < dplan->model().num_nodes(); ++n) {
       storm::NodeDaemonOptions nopts;
       nopts.node_id = n;
-      nopts.cluster.io_mode = opts.io_mode;
       nopts.cluster.kernel_mode = opts.kernel_mode;
       nopts.filter = vt.chunk_filter();
       daemons.push_back(std::make_unique<storm::NodeDaemon>(dplan, nopts));
@@ -513,7 +514,6 @@ DqReport run_case(const DqDataset& d,
     codegen::DataServicePlan brefplan(bdesc, "DqB", tmpb.str());
     write_files(db, brefplan.model());
     VirtualTable::Options bvopts;
-    bvopts.cluster.io_mode = opts.io_mode;
     bvopts.cluster.kernel_mode = opts.kernel_mode;
     VirtualTable vtb = VirtualTable::open(db.descriptor(), "DqB", tmpb.str(),
                                           bvopts);

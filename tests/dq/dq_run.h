@@ -28,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/io.h"
 #include "common/kernel_mode.h"
 #include "dq/dq_gen.h"
 #include "expr/table.h"
@@ -60,8 +59,6 @@ struct DqOptions {
   // Run the fast path in partial-results mode: node casualties yield a
   // subset of the reference rows instead of an error.
   bool partial_results = false;
-  // I/O mode for the fast path's cluster (kAuto = env/mmap).
-  IoMode io_mode = IoMode::kAuto;
   // Kernel loop for the fast path.  The reference executor is pinned to
   // the interpreter regardless, so vector runs are genuine cross-loop
   // differentials.

@@ -1,5 +1,5 @@
-// Tests for extensions beyond the paper's minimum: multi-threaded
-// extraction and the emitted code's embedded chunk index.
+// Tests for extensions beyond the paper's minimum: the emitted code's
+// embedded chunk index.
 #include <dlfcn.h>
 #include <gtest/gtest.h>
 
@@ -15,31 +15,6 @@
 
 namespace adv::codegen {
 namespace {
-
-TEST(ParallelExecuteTest, SameRowsAsSerial) {
-  dataset::IparsConfig cfg;
-  cfg.nodes = 2;
-  cfg.rels = 2;
-  cfg.timesteps = 10;
-  cfg.grid_per_node = 20;
-  cfg.pad_vars = 1;
-  TempDir tmp("par");
-  auto gen = dataset::generate_ipars(cfg, dataset::IparsLayout::kII, tmp.str());
-  DataServicePlan plan = DataServicePlan::from_text(
-      gen.descriptor_text, gen.dataset_name, gen.root);
-  expr::BoundQuery q =
-      plan.bind("SELECT * FROM IparsData WHERE SOIL > 0.3 AND TIME <= 8");
-
-  ExtractStats serial_stats, par_stats;
-  expr::Table serial = plan.execute(q, {}, &serial_stats);
-  for (int threads : {1, 2, 4, 7}) {
-    expr::Table par = plan.execute_parallel(q, threads, {}, &par_stats);
-    EXPECT_TRUE(par.same_rows(serial)) << threads << " threads";
-    EXPECT_EQ(par_stats.rows_matched, serial_stats.rows_matched);
-    EXPECT_EQ(par_stats.bytes_read, serial_stats.bytes_read);
-  }
-  EXPECT_THROW(plan.execute_parallel(q, 0), QueryError);
-}
 
 // ---------------------------------------------------------------------------
 // Emitted code with an embedded chunk index.

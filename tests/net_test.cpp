@@ -19,6 +19,7 @@
 #include "storm/dist.h"
 #include "storm/net.h"
 #include "storm/node_daemon.h"
+#include "storm/wire.h"
 #include "zonemap/zonemap.h"
 
 namespace adv::storm {
@@ -485,6 +486,37 @@ bool raw_recv_frame(int fd, uint8_t& type, std::vector<unsigned char>& out) {
     off += static_cast<std::size_t>(r);
   }
   return true;
+}
+
+// Writes a frame header announcing `len` payload bytes, then `sent` zero
+// bytes of payload, and hangs up; returns the receiving end.
+int truncated_frame_peer(uint32_t len, std::size_t sent) {
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return -1;
+  unsigned char header[5];
+  std::memcpy(header, &len, 4);
+  header[4] = 0x03;  // kRowBatch
+  raw_write(sv[0], header, 5);
+  const std::vector<unsigned char> payload(sent);
+  if (sent) raw_write(sv[0], payload.data(), sent);
+  ::close(sv[0]);
+  return sv[1];
+}
+
+TEST(WireFrameTest, PeerClosingInsideNearLimitFrameFailsTyped) {
+  // The announced length is within the 64 MiB limit; the receiver grows
+  // its buffer with the bytes that arrive and fails typed at the hang-up.
+  int fd = truncated_frame_peer((64u << 20) - 1, 64);
+  ASSERT_GE(fd, 0);
+  EXPECT_THROW(wire::recv_frame(fd), IoError);
+  ::close(fd);
+}
+
+TEST(WireFrameTest, LengthOverLimitFailsTyped) {
+  int fd = truncated_frame_peer((64u << 20) + 1, 0);
+  ASSERT_GE(fd, 0);
+  EXPECT_THROW(wire::recv_frame(fd), IoError);
+  ::close(fd);
 }
 
 // The v1 part of a kQuery payload: default single-consumer partition spec

@@ -11,6 +11,7 @@
 #include "common/io.h"
 #include "common/tempdir.h"
 #include "dataset/ipars.h"
+#include "faultz/faultz.h"
 #include "storm/cluster.h"
 
 namespace adv::storm {
@@ -105,7 +106,9 @@ PartitionSpec spec_for(PartitionSpec::Policy policy) {
 
 // Every partition policy must hand each row to the same consumer no
 // matter how many extraction workers scan the node and which io path
-// reads the bytes (the scan-position ordering contract).
+// reads the bytes (the scan-position ordering contract).  The sequential
+// leg refuses every mapping, so it reads through FileHandle's pread
+// fallback while the parallel leg decodes out of the mappings.
 TEST(ParallelPipelineTest, PartitionsMatchSequentialForEveryPolicy) {
   Fixture f;
   // Filtered query: matched-row counts differ per AFC, which would expose
@@ -117,13 +120,17 @@ TEST(ParallelPipelineTest, PartitionsMatchSequentialForEveryPolicy) {
         PartitionSpec::Policy::kBlockCyclic}) {
     ClusterOptions seq;
     seq.threads_per_node = 1;
-    seq.io_mode = IoMode::kPread;
     ClusterOptions par;
     par.threads_per_node = 4;
-    par.io_mode = IoMode::kMmap;
     StormCluster seq_cluster(f.plan, seq);
     StormCluster par_cluster(f.plan, par);
-    QueryResult rs = seq_cluster.execute(sql, spec_for(policy));
+    QueryResult rs;
+    {
+      FileCache::instance().clear();
+      faultz::ScopedFaultPlan scope(1, "mmap.fail=1");
+      rs = seq_cluster.execute(sql, spec_for(policy));
+    }
+    FileCache::instance().clear();
     QueryResult rp = par_cluster.execute(sql, spec_for(policy));
     ASSERT_EQ(rs.first_error(), "");
     ASSERT_EQ(rp.first_error(), "");
@@ -193,15 +200,13 @@ TEST(FileCacheTest, SharesOneHandlePerPath) {
   std::string path = tmp.str() + "/data.bin";
   write_text_file(path, std::string(4096, 'x'));
   FileCache cache(8);
-  auto a = cache.open(path, IoMode::kMmap);
-  auto b = cache.open(path, IoMode::kMmap);
+  auto a = cache.open(path);
+  auto b = cache.open(path);
   EXPECT_EQ(a.get(), b.get());
   ASSERT_NE(a->mapped_data(), nullptr);
   EXPECT_EQ(a->mapped_size(), 4096u);
   EXPECT_EQ(a->mapped_data()[0], 'x');
   EXPECT_THROW(a->mapped_range(1, 4096), IoError);
-  // A pread-mode hit returns the already-mapped handle unchanged.
-  EXPECT_EQ(cache.open(path, IoMode::kPread).get(), a.get());
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   // Cleared handles stay usable while held.

@@ -34,13 +34,13 @@ int usage(const char* argv0) {
       "  --queries M       queries per seed (default 5)\n"
       "  --campaign NAME   named fault campaign: io, net, node, agg, zm,\n"
       "                    sched, serve\n"
-      "  --fault-spec S    explicit fault spec, e.g. 'pread.eio=0.01:3'\n"
+      "  --fault-spec S    explicit fault spec, e.g.\n"
+      "                    'mmap.fail=1,pread.eio=0.01:3'\n"
       "  --fault-seed N    fault-plan seed (default: the corpus seed)\n"
       "  --server          also round-trip queries through the v2 protocol\n"
       "  --dist            also scatter/gather through per-node daemons\n"
       "                    behind a DistCoordinator (in-process)\n"
       "  --partial         run the fast path in partial-results mode\n"
-      "  --pread           force pread I/O (no mmap) on the fast path\n"
       "  --kernel MODE     kernel loop for the fast path: vector (default)\n"
       "                    or interp\n"
       "  --deadline SECS   per-query deadline (default 20)\n",
@@ -92,8 +92,6 @@ int main(int argc, char** argv) {
       opts.with_dist = true;
     } else if (arg == "--partial") {
       opts.partial_results = true;
-    } else if (arg == "--pread") {
-      opts.io_mode = adv::IoMode::kPread;
     } else if (arg == "--kernel") {
       std::string name = next();
       if (!adv::kernel_mode_from_name(name, opts.kernel_mode)) {

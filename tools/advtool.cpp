@@ -11,7 +11,7 @@
 //   advtool verify   <descriptor> <dataset> --root DIR
 //   advtool generate ipars|titan --out DIR [options]
 //   advtool index    build|inspect|check <descriptor> <dataset> --root DIR
-//            [--dir DIR] [--threads N] [--io mmap|pread] [--limit N]
+//            [--dir DIR] [--threads N] [--limit N]
 //   advtool query    <descriptor> <dataset> --root DIR [--index DIR]
 //            [--partition N] [--csv N] "SELECT ..."
 //   advtool emit     <descriptor> <dataset> [--index DIR] [--out FILE]
@@ -55,7 +55,6 @@ commands:
            [--cells-z N] [--points P]
       Write a synthetic dataset and its descriptor (descriptor.adv).
   index build <descriptor> <dataset> --root DIR [--dir DIR] [--threads N]
-        [--io mmap|pread]
       Scan every chunk once and write the zone-map sidecar
       (<dataset>.zm) under --dir (default: --root).
   index inspect <descriptor> <dataset> --root DIR [--dir DIR] [--limit N]
@@ -253,16 +252,11 @@ int cmd_index(Args a) {
   const std::string dir = a.flag("dir", a.flag("root", "."));
 
   if (sub == "build") {
-    zonemap::ZoneMap::BuildOptions opts;
-    std::string io = a.flag("io");
-    if (io == "mmap") opts.io_mode = IoMode::kMmap;
-    else if (io == "pread") opts.io_mode = IoMode::kPread;
-    else if (!io.empty()) usage("--io must be mmap or pread");
     int threads = a.flag_int("threads", 0);
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1)
       pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
-    zonemap::ZoneMap zm = zonemap::ZoneMap::build(plan, pool.get(), opts);
+    zonemap::ZoneMap zm = zonemap::ZoneMap::build(plan, pool.get());
     zm.save(dir, plan);
     std::string path =
         zonemap::ZoneMap::sidecar_path(dir, plan.model().dataset_name());
