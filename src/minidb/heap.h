@@ -70,12 +70,6 @@ class HeapFileReader {
   uint32_t page_count() const { return page_count_; }
   uint64_t file_bytes() const { return file_.size(); }
 
-  // Memory-maps the heap file; scan()/fetch() then decode pages straight
-  // out of the mapping instead of preading into a scratch buffer.  Returns
-  // false when the platform refuses the mapping (readers fall back to
-  // pread transparently).  Call before sharing the reader across threads.
-  bool map() { return file_.map(); }
-
   // Full scan: decodes every tuple into `row` (one double per column) and
   // invokes fn(row).  Page-at-a-time I/O.
   void scan(const std::function<void(const double*)>& fn,

@@ -7,13 +7,7 @@
 namespace adv::serve {
 
 std::size_t ResultEntry::charged_bytes() const {
-  std::size_t b = sizeof(ResultEntry) + replay_blob.size();
-  for (const auto& c : columns) b += c.name.size() + sizeof(c);
-  for (const auto& p : partitions) {
-    b += sizeof(expr::Table) +
-         p.num_rows() * p.num_cols() * sizeof(double);
-  }
-  return b;
+  return sizeof(ResultEntry) + frames.size() + replay_blob.size();
 }
 
 // The flight is a tiny latch: the leader sets `done` (entry may be null on

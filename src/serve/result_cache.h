@@ -1,11 +1,12 @@
 // Versioned result cache with single-flight execution dedup — the serving
 // layer's hot path (docs/SERVING.md §6).
 //
-// The cache maps a *fully qualified* query key to the materialized result
-// of a previously served query.  The key is built by the caller
-// (storm::QueryServer) as
+// The cache maps a *fully qualified* query key to the result of a
+// previously served query, kept as the wire frames its leader sent.  The
+// key is built by the caller (storm::QueryServer) as
 //
-//   <canonical SQL> "|" <partition spec> "|" <DataVersion hex>
+//   <canonical SQL> "|" <partition spec, block_size included> "|"
+//   <DataVersion hex>
 //
 // so two textually different but semantically identical queries share an
 // entry (the SQL is canonicalized through the parser's printer, the same
@@ -14,8 +15,8 @@
 // are never *found*, they just age out of the LRU.  Correctness therefore
 // never depends on an invalidation callback firing.
 //
-// Eviction is byte-budgeted LRU: every entry is charged its materialized
-// size (column names + row payload + replay blob) and the least recently
+// Eviction is byte-budgeted LRU: every entry is charged its size (frame
+// bytes + replay blob) and the least recently
 // used entries are dropped until the configured budget holds.  Entries
 // larger than max_entry_bytes are never stored (a single giant scan must
 // not wipe the cache) — but they still flow through single-flight, so
@@ -44,15 +45,15 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "expr/table.h"
 
 namespace adv::serve {
 
-// One materialized query result.  Immutable once published: consumers share
-// it by shared_ptr<const> and stream it straight into row batches.
+// One served query result.  Immutable once published: consumers share it
+// by shared_ptr<const> and write its frames to their sockets as they are.
 struct ResultEntry {
-  std::vector<expr::Table::Column> columns;  // schema, in projection order
-  std::vector<expr::Table> partitions;       // result rows, one per consumer
+  // The kSchema frame and every kRowBatch frame the leader sent, headers
+  // included, in the order it sent them.
+  std::vector<unsigned char> frames;
   // Opaque replay blob, stored verbatim and returned on every hit.  The
   // query server keeps the serialized per-node stats section of the kStats
   // frame here so cache hits report the work the original execution did.

@@ -1,7 +1,5 @@
 #include "storm/dist.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -135,16 +133,11 @@ void DistCoordinator::run_shard(const std::string& sql,
       Socket sock(
           connect_with_timeout(ep.host, ep.port,
                                opts_.connect_timeout_seconds));
-      set_nodelay(sock.fd);
 
       Payload req;
       req.put<uint32_t>(static_cast<uint32_t>(shard.node_id));
       req.put<uint64_t>(committed);
-      req.put<uint16_t>(static_cast<uint16_t>(nconsumers));
-      req.put<uint8_t>(static_cast<uint8_t>(opts_.partition.policy));
-      req.put<int32_t>(opts_.partition.select_index);
-      req.put<double>(opts_.partition.range_lo);
-      req.put<double>(opts_.partition.range_hi);
+      put_partition(req, opts_.partition);
       req.put<uint64_t>(opts_.partition.block_size);
       req.put_string(sql);
       req.put<double>(opts_.deadline_seconds);
@@ -154,7 +147,7 @@ void DistCoordinator::run_shard(const std::string& sql,
       send_frame(sock.fd, kNodeQuery, req);
 
       auto [htype, hp] =
-          recv_frame_timeout(sock.fd, opts_.liveness_timeout_seconds);
+          recv_frame_watched(sock.fd, opts_.liveness_timeout_seconds);
       if (htype == kError) {
         auto [msg, kind] = parse_error(hp);
         last_error = msg;
@@ -207,26 +200,17 @@ void DistCoordinator::run_shard(const std::string& sql,
       }
 
       // Gather loop.  Liveness: every frame — rows, progress, heartbeat —
-      // resets the timeout clock inside recv_frame_timeout; straggler
+      // resets the timeout clock inside recv_frame_watched; straggler
       // detection additionally requires the *progress counters* to move.
       Clock::time_point last_advance = Clock::now();
       uint64_t hb_afcs = 0, hb_rows = 0;
       bool hb_seen = false;
       for (;;) {
         auto [type, p] =
-            recv_frame_timeout(sock.fd, opts_.liveness_timeout_seconds);
+            recv_frame_watched(sock.fd, opts_.liveness_timeout_seconds);
         if (type == kRowBatch) {
-          const std::size_t consumer = p.get<uint16_t>();
-          const std::size_t nrows = p.get<uint32_t>();
-          const std::size_t nc = p.get<uint16_t>();
-          if (consumer >= staged.size() || nc != out.ncols)
-            throw IoError("malformed row batch from node " +
-                          std::to_string(shard.node_id));
-          const unsigned char* raw = p.raw(nrows * nc * sizeof(double));
-          auto& dst = staged[consumer];
-          const std::size_t at = dst.size();
-          dst.resize(at + nrows * nc);
-          std::memcpy(dst.data() + at, raw, nrows * nc * sizeof(double));
+          const RowBatchView v = get_row_batch(p, staged.size(), out.ncols);
+          v.append_to(staged[v.consumer]);
         } else if (type == kAggBatch) {
           const std::size_t n =
               static_cast<std::size_t>(p.get<uint64_t>());
@@ -259,30 +243,7 @@ void DistCoordinator::run_shard(const std::string& sql,
                 std::to_string(opts_.straggler_timeout_seconds) + "s");
           }
         } else if (type == kNodeStats) {
-          NodeStats& ns = out.stats;
-          ns.node_id = p.get<int32_t>();
-          ns.busy_seconds = p.get<double>();
-          ns.transfer_seconds = p.get<double>();
-          ns.afcs = p.get<uint64_t>();
-          ns.bytes_read = p.get<uint64_t>();
-          ns.rows_scanned = p.get<uint64_t>();
-          ns.rows_matched = p.get<uint64_t>();
-          ns.bytes_sent = p.get<uint64_t>();
-          ns.afcs_pruned = p.get<uint64_t>();
-          ns.rows_pruned = p.get<uint64_t>();
-          ns.bytes_skipped = p.get<uint64_t>();
-          ns.io_retries = p.get<uint64_t>();
-          ns.afcs_interp = p.get<uint64_t>();
-          ns.afcs_vector = p.get<uint64_t>();
-          p.get<uint64_t>();  // retired tier counter; slot kept for old peers
-          // Aggregation tail, absent from pre-pushdown daemons.
-          if (p.remaining() >= 5 * sizeof(uint64_t)) {
-            ns.groups_emitted = p.get<uint64_t>();
-            ns.agg_bytes_shipped = p.get<uint64_t>();
-            ns.agg_dense = p.get<uint64_t>();
-            ns.agg_hash = p.get<uint64_t>();
-            ns.agg_radix = p.get<uint64_t>();
-          }
+          out.stats = get_node_stats(p);
           out.have_stats = true;
         } else if (type == kEnd) {
           // Defensive: the daemon checkpoints its final AFC before kEnd,

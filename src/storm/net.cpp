@@ -1,13 +1,8 @@
 #include "storm/net.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "afc/planner.h"
 #include "common/error.h"
@@ -17,9 +12,8 @@
 
 namespace adv::storm {
 
-// The frame codec (Payload, send_frame/recv_frame, MsgType, Socket) is
-// shared with the node daemon and the distribution coordinator — see
-// storm/wire.h.
+// The frame codecs, the listener and the control reader are shared with
+// the node daemon and the distribution coordinator — see storm/wire.h.
 using namespace wire;
 
 namespace {
@@ -60,117 +54,35 @@ QueryServer::QueryServer(std::shared_ptr<codegen::DataServicePlan> plan,
   if (serve_opts_.plan_cache_capacity > 0) {
     plan_cache_ = std::make_unique<PlanCache>(serve_opts_.plan_cache_capacity);
   }
-  ignore_sigpipe();
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw IoError("cannot create server socket");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(listen_fd_);
-    throw IoError(std::string("cannot bind query server: ") +
-                  std::strerror(errno));
-  }
-  socklen_t alen = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    throw IoError("cannot listen on query server socket");
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  listener_ = std::make_unique<Listener>(
+      port, "query server",
+      [this](Listener::Connection& conn) { serve_query(conn); });
 }
 
 QueryServer::~QueryServer() { shutdown(); }
 
 void QueryServer::shutdown() {
-  if (stopping_.exchange(true)) return;
-  // 1. Stop accepting.  shutdown() — not close() — unblocks accept()
-  // without racing a concurrent accept against kernel fd reuse; the fd is
-  // closed only once the acceptor joined.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  // 1. Stop accepting.
+  if (!listener_->stop_accepting()) return;
   // 2. Drain the scheduler: future submissions are rejected, queued
   // queries are cancelled (their connections send kError and wind down),
   // and running queries finish streaming their results.
   scheduler_.drain();
   // 3. Unblock idle connections (parked in recv waiting for a query
-  // frame) and join every connection thread.  Collect node pointers under
-  // the lock but join outside it — serving threads take conn_mu_ to close
-  // their fd on the way out.
-  std::vector<Connection*> conns;
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    for (auto& c : connections_) {
-      // Busy connections already had their fate settled by the drain
-      // (queued ones expelled, running ones completed); they deliver
-      // their final frames and exit on their own — forcing their sockets
-      // here would chop that delivery mid-frame.
-      if (c->fd >= 0 && !c->busy.load()) ::shutdown(c->fd, SHUT_RDWR);
-      conns.push_back(c.get());
-    }
-  }
-  for (Connection* c : conns)
-    if (c->thread.joinable()) c->thread.join();
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  connections_.clear();
+  // frame) and join every connection thread.  Busy connections already
+  // had their fate settled by the drain (queued ones expelled, running
+  // ones completed); they deliver their final frames and exit on their
+  // own — forcing their sockets here would chop that delivery mid-frame.
+  listener_->close_connections([](Listener::Connection& c) {
+    if (c.fd >= 0 && !c.busy.load()) ::shutdown(c.fd, SHUT_RDWR);
+  });
 }
 
-void QueryServer::accept_loop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_ || (errno != EINTR && errno != ECONNABORTED)) return;
-      continue;
-    }
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    set_nodelay(fd);
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    reap_finished_locked();
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* cp = conn.get();
-    connections_.push_back(std::move(conn));
-    cp->thread = std::thread([this, cp] { serve_connection(cp); });
-  }
-}
-
-void QueryServer::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void QueryServer::serve_connection(Connection* conn) {
-  serve_query(conn);
-  // Close under conn_mu_: shutdown() shuts live fds down under the same
-  // lock, so it can never touch a closed (possibly reused) descriptor.
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  if (conn->fd >= 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
-  }
-  conn->done.store(true);
-}
-
-void QueryServer::serve_query(Connection* conn) {
-  const int fd = conn->fd;
+void QueryServer::serve_query(Listener::Connection& conn) {
+  const int fd = conn.fd;
   try {
     auto [type, payload] = recv_frame(fd);
-    conn->busy.store(true);
+    conn.busy.store(true);
     if (type != kQuery) {
       // Covers v1 garbage and the v2.1 distribution frames alike: a
       // DistCoordinator that scatters kNodeQuery at a plain query server
@@ -179,12 +91,7 @@ void QueryServer::serve_query(Connection* conn) {
       send_error(fd, "expected a query frame (node scatter frames belong to adv_node daemons, not the query service)", ErrorKind::kQuery);
       return;
     }
-    PartitionSpec part;
-    part.num_consumers = payload.get<uint16_t>();
-    part.policy = static_cast<PartitionSpec::Policy>(payload.get<uint8_t>());
-    part.select_index = payload.get<int32_t>();
-    part.range_lo = payload.get<double>();
-    part.range_hi = payload.get<double>();
+    PartitionSpec part = get_partition(payload);
     std::string sql = payload.get_string();
     // v2 tail: deadline + priority (absent from v1 clients).
     double deadline_seconds = 0;
@@ -196,12 +103,16 @@ void QueryServer::serve_query(Connection* conn) {
     // v2.2 tail: the fair-share tenant id (absent = default tenant).
     // Parsed defensively: trailing bytes that do not decode as a sane
     // length-prefixed string are some newer peer's unknown fields, not a
-    // tenant id, and must be ignored rather than fail the query.
+    // tenant id, and must be ignored rather than fail the query.  The
+    // v2.3 block_size follows it, so it is read only when the tenant
+    // parsed.
     std::string tenant;
     if (payload.remaining() >= sizeof(uint32_t)) {
       uint32_t len = payload.get<uint32_t>();
       if (len <= payload.remaining() && len <= 256) {
         tenant.assign(reinterpret_cast<const char*>(payload.raw(len)), len);
+        if (payload.remaining() >= sizeof(uint64_t))
+          part.block_size = payload.get<uint64_t>();
       }
     }
 
@@ -229,36 +140,15 @@ void QueryServer::serve_query(Connection* conn) {
 
     // Control reader: for the rest of the query's life, a kCancel frame or
     // a disconnect fires the token (which the planner, the extraction
-    // workers, and the row-shipping path all poll).
-    std::thread reader([fd, ctx] {
-      try {
-        for (;;) {
-          auto [t, p] = recv_frame(fd);
-          if (t == kCancel) {
-            ctx->token.cancel();
-            return;
-          }
-          // Ignore anything else the client sends mid-query.
-        }
-      } catch (const Error&) {
-        // EOF or socket error: the client is gone.
-        ctx->token.cancel();
-      }
-    });
-    bool reader_joined = false;
-    // Joined only after the query's outcome is recorded, so a disconnect
-    // observed by the reader can never misclassify a finished query.
-    auto join_reader = [&]() noexcept {
-      if (reader_joined) return;
-      reader_joined = true;
-      ::shutdown(fd, SHUT_RD);  // unblocks the reader's recv
-      reader.join();
-    };
+    // workers, and the row-shipping path all poll).  Joined only after the
+    // query's outcome is recorded, so a disconnect observed by the reader
+    // can never misclassify a finished query.
+    ControlReader reader(fd, ctx->token);
 
     if (!scheduler_.wait_admitted(ctx)) {
       // Left the queue without running: client cancel, expired deadline,
       // or server drain.  The scheduler already recorded the outcome.
-      join_reader();
+      reader.join();
       Payload err;
       err.put_string(ctx->token.cancel_requested() ? "query cancelled"
                                                    : "query deadline exceeded");
@@ -330,11 +220,12 @@ void QueryServer::serve_query(Connection* conn) {
       std::string result_key;
       serve::ResultEntryPtr cached;
       if (result_cache_ != nullptr) {
-        char pk[96];
-        std::snprintf(pk, sizeof pk, "%u|%u|%d|%a|%a",
+        char pk[128];
+        std::snprintf(pk, sizeof pk, "%u|%u|%d|%a|%a|%llu",
                       static_cast<unsigned>(part.num_consumers),
                       static_cast<unsigned>(part.policy), part.select_index,
-                      part.range_lo, part.range_hi);
+                      part.range_lo, part.range_hi,
+                      static_cast<unsigned long long>(part.block_size));
         result_key = canon_sql + "|" + pk + "|" + version_hex;
         serve::ResultCache::Lookup lk =
             result_cache_->lookup(result_key, &ctx->token);
@@ -347,148 +238,96 @@ void QueryServer::serve_query(Connection* conn) {
         }
       }
 
-      if (cached != nullptr) {
-        // Serve straight from the cache: schema, batched rows, then the
-        // original execution's node stats replayed under fresh sched and
-        // serving tails.  No extraction runs.
-        Payload schema;
-        schema.put<uint16_t>(static_cast<uint16_t>(cached->columns.size()));
-        for (const auto& c : cached->columns) {
-          schema.put<uint8_t>(static_cast<uint8_t>(c.type));
-          schema.put<uint16_t>(static_cast<uint16_t>(c.name.size()));
-          schema.put_bytes(c.name.data(), c.name.size());
-        }
-        send_frame(fd, kSchema, schema);
-        constexpr std::size_t kReplayRows = 4096;
-        std::vector<double> rowbuf;
-        for (std::size_t p = 0; p < cached->partitions.size(); ++p) {
-          const expr::Table& t = cached->partitions[p];
-          const std::size_t ncols = t.num_cols();
-          for (std::size_t r0 = 0; r0 < t.num_rows(); r0 += kReplayRows) {
-            const std::size_t n = std::min(kReplayRows, t.num_rows() - r0);
-            rowbuf.resize(n * ncols);
-            for (std::size_t c = 0; c < ncols; ++c) {
-              const std::vector<double>& col = t.column(c);
-              for (std::size_t r = 0; r < n; ++r)
-                rowbuf[r * ncols + c] = col[r0 + r];
-            }
-            Payload batch;
-            batch.put<uint16_t>(static_cast<uint16_t>(p));
-            batch.put<uint32_t>(static_cast<uint32_t>(n));
-            batch.put<uint16_t>(static_cast<uint16_t>(ncols));
-            batch.put_bytes(rowbuf.data(), rowbuf.size() * sizeof(double));
-            send_frame(fd, kRowBatch, batch);
-          }
-        }
-        finish(sched::Outcome::kCompleted);
-        join_reader();
-        queries_served_.fetch_add(1);
-        Payload stats;
-        stats.put_bytes(cached->replay_blob.data(),
-                        cached->replay_blob.size());
-        append_stats_tails(stats, ctx->id, ctx->queue_wait_seconds,
-                           ctx->run_seconds, /*served_from_cache=*/true);
-        send_frame(fd, kStats, stats);
-        send_frame(fd, kEnd, Payload());
-        return;
-      }
-
-      const expr::BoundQuery& q = planned->query;
-      {
-        Payload schema;
-        std::vector<expr::Table::Column> cols = q.result_columns();
-        schema.put<uint16_t>(static_cast<uint16_t>(cols.size()));
-        for (const auto& c : cols) {
-          schema.put<uint8_t>(static_cast<uint8_t>(c.type));
-          schema.put<uint16_t>(static_cast<uint16_t>(c.name.size()));
-          schema.put_bytes(c.name.data(), c.name.size());
-        }
-        send_frame(fd, kSchema, schema);
-      }
-
-      // Leaders tee every outgoing batch into per-consumer tables so the
-      // result can be published to the cache (and to waiting followers).
-      const bool record = flight != nullptr;
-      std::vector<expr::Table> teed;
-      if (record) {
-        teed.assign(std::max<std::size_t>(1, part.num_consumers),
-                    expr::Table(q.result_columns()));
-      }
-
-      // Stream: the data mover's network leg.  Batches go out as nodes
-      // produce them; a send failure (client gone) makes execute_streaming
-      // cancel the query and rethrow after its workers joined.
-      QueryResult r = cluster_.execute_streaming(
-          q,
-          [&](const RowBatch& b) {
-            if (b.num_rows() == 0) return;
-            if (record && static_cast<std::size_t>(b.consumer) < teed.size())
-              teed[b.consumer].append_rows(b.data.data(), b.num_rows());
-            Payload batch;
-            batch.put<uint16_t>(static_cast<uint16_t>(b.consumer));
-            batch.put<uint32_t>(static_cast<uint32_t>(b.num_rows()));
-            batch.put<uint16_t>(static_cast<uint16_t>(b.num_cols));
-            batch.put_bytes(b.data.data(), b.data.size() * sizeof(double));
-            send_frame(fd, kRowBatch, batch);
-          },
-          part, filter_, &planned->node_plans, &ctx->token);
-
-      std::string node_error = r.first_error();
-      if (!node_error.empty()) {
-        abort_flight();
-        finish(classify_failure(ctx->token));
-        join_reader();
-        Payload err;
-        err.put_string(node_error);
-        send_frame(fd, kError, err);
-        return;
-      }
-
-      // Serialize the node-stats section once: it goes out in this kStats
-      // frame and (verbatim) in every future cache hit's.
+      // The node-stats section of kStats: a miss serializes its own
+      // execution's once (it also becomes the entry's replay blob), a hit
+      // replays the original execution's under fresh sched and serving
+      // tails.
       Payload nodestats;
-      nodestats.put<uint32_t>(static_cast<uint32_t>(r.node_stats.size()));
-      for (const auto& ns : r.node_stats) {
-        nodestats.put<int32_t>(ns.node_id);
-        nodestats.put<uint64_t>(ns.afcs);
-        nodestats.put<uint64_t>(ns.bytes_read);
-        nodestats.put<uint64_t>(ns.rows_matched);
-        nodestats.put<double>(ns.busy_seconds);
-      }
+      const bool from_cache = cached != nullptr;
+      if (from_cache) {
+        // Serve straight from the cache: the schema and row-batch frames
+        // the leader sent, byte for byte.  No extraction runs.
+        write_all(fd, cached->frames.data(), cached->frames.size());
+      } else {
+        const expr::BoundQuery& q = planned->query;
+        // Every schema and row-batch frame is appended to `sent` and
+        // written from there.  A leader keeps them all for the cache entry
+        // (and its waiting followers); anyone else keeps only the frame in
+        // flight.
+        const bool record = flight != nullptr;
+        std::vector<unsigned char> sent;
+        std::size_t unsent = 0;
+        auto flush = [&] {
+          write_all(fd, sent.data() + unsent, sent.size() - unsent);
+          if (record)
+            unsent = sent.size();
+          else
+            sent.clear();
+        };
+        // The schema goes out before execution so the client can stream
+        // row batches straight into typed tables.
+        Payload schema;
+        put_schema(schema, q.result_columns());
+        append_frame(sent, kSchema, schema);
+        flush();
 
-      if (record) {
-        // Publish only what provably matches the keyed version: a rewrite
-        // landing mid-execution may have produced torn rows, so recheck
-        // the same footprint before the entry becomes visible.  On
-        // mismatch followers fall back to executing themselves.
-        if (version_hex_now() == version_hex) {
-          auto entry = std::make_shared<serve::ResultEntry>();
-          entry->columns = q.result_columns();
-          entry->partitions = std::move(teed);
-          entry->replay_blob = nodestats.data();
-          result_cache_->publish(flight, std::move(entry));
-          flight = nullptr;
-        } else {
-          abort_flight();
+        // Stream: the data mover's network leg.  Batches go out as nodes
+        // produce them; a send failure (client gone) makes
+        // execute_streaming cancel the query and rethrow after its workers
+        // joined.
+        QueryResult r = cluster_.execute_streaming(
+            q,
+            [&](const RowBatch& b) {
+              if (b.num_rows() == 0) return;
+              append_row_batch(sent, b);
+              flush();
+            },
+            part, filter_, &planned->node_plans, &ctx->token);
+
+        // A failed node fails the query, through the catch below.
+        if (std::string e = r.first_error(); !e.empty()) throw QueryError(e);
+
+        nodestats.put<uint32_t>(static_cast<uint32_t>(r.node_stats.size()));
+        for (const auto& ns : r.node_stats) {
+          nodestats.put<int32_t>(ns.node_id);
+          nodestats.put<uint64_t>(ns.afcs);
+          nodestats.put<uint64_t>(ns.bytes_read);
+          nodestats.put<uint64_t>(ns.rows_matched);
+          nodestats.put<double>(ns.busy_seconds);
+        }
+
+        if (record) {
+          // Publish only what provably matches the keyed version: a
+          // rewrite landing mid-execution may have produced torn rows, so
+          // recheck the same footprint before the entry becomes visible.
+          // On mismatch followers fall back to executing themselves.
+          if (version_hex_now() == version_hex) {
+            auto entry = std::make_shared<serve::ResultEntry>();
+            entry->frames = std::move(sent);
+            entry->replay_blob = nodestats.data();
+            result_cache_->publish(flight, std::move(entry));
+            flight = nullptr;
+          } else {
+            abort_flight();
+          }
         }
       }
 
       // Record the outcome (and the query's run time) before joining the
       // reader and before shipping stats that include it.
       finish(sched::Outcome::kCompleted);
-      join_reader();
+      reader.join();
       queries_served_.fetch_add(1);
 
-      Payload stats;
-      stats.put_bytes(nodestats.data().data(), nodestats.data().size());
+      Payload stats(from_cache ? cached->replay_blob : nodestats.data());
       append_stats_tails(stats, ctx->id, ctx->queue_wait_seconds,
-                         ctx->run_seconds, /*served_from_cache=*/false);
+                         ctx->run_seconds, from_cache);
       send_frame(fd, kStats, stats);
       send_frame(fd, kEnd, Payload());
     } catch (const Error& e) {
       abort_flight();
       finish(classify_failure(ctx->token));
-      join_reader();
+      reader.join();
       Payload err;
       err.put_string(e.what());
       try {
@@ -508,21 +347,16 @@ void QueryServer::append_stats_tails(wire::Payload& stats, uint64_t query_id,
                                      double run_seconds,
                                      bool served_from_cache) const {
   sched::SchedulerMetrics m = scheduler_.metrics();
+  auto put_u64s = [&stats](std::initializer_list<uint64_t> vs) {
+    for (uint64_t v : vs) stats.put<uint64_t>(v);
+  };
   // v2 sched tail.
   stats.put<uint64_t>(query_id);
   stats.put<double>(queue_wait_seconds);
   stats.put<double>(run_seconds);
-  stats.put<uint64_t>(m.submitted);
-  stats.put<uint64_t>(m.admitted);
-  stats.put<uint64_t>(m.rejected);
-  stats.put<uint64_t>(m.completed);
-  stats.put<uint64_t>(m.failed);
-  stats.put<uint64_t>(m.cancelled);
-  stats.put<uint64_t>(m.deadline_exceeded);
-  stats.put<uint64_t>(m.queue_depth);
-  stats.put<uint64_t>(m.running);
-  stats.put<uint64_t>(m.peak_running);
-  stats.put<uint64_t>(m.peak_queue_depth);
+  put_u64s({m.submitted, m.admitted, m.rejected, m.completed, m.failed,
+            m.cancelled, m.deadline_exceeded, m.queue_depth, m.running,
+            m.peak_running, m.peak_queue_depth});
   // v2.1 tail: the EWMA pacing hint, so well-behaved clients slow down
   // before the queue fills instead of discovering kRejected.
   stats.put<double>(scheduler_.retry_after_hint());
@@ -530,21 +364,10 @@ void QueryServer::append_stats_tails(wire::Payload& stats, uint64_t query_id,
   // per-tenant ledger.
   stats.put<uint8_t>(served_from_cache ? 1 : 0);
   serve::ResultCache::Stats rc = result_cache_stats();
-  stats.put<uint64_t>(rc.lookups);
-  stats.put<uint64_t>(rc.hits);
-  stats.put<uint64_t>(rc.misses);
-  stats.put<uint64_t>(rc.coalesced);
-  stats.put<uint64_t>(rc.inserts);
-  stats.put<uint64_t>(rc.evictions);
-  stats.put<uint64_t>(rc.too_large);
-  stats.put<uint64_t>(rc.poisoned);
-  stats.put<uint64_t>(rc.entries);
-  stats.put<uint64_t>(rc.bytes);
+  put_u64s({rc.lookups, rc.hits, rc.misses, rc.coalesced, rc.inserts,
+            rc.evictions, rc.too_large, rc.poisoned, rc.entries, rc.bytes});
   PlanCache::Stats pc = plan_cache_stats();
-  stats.put<uint64_t>(pc.hits);
-  stats.put<uint64_t>(pc.misses);
-  stats.put<uint64_t>(pc.entries);
-  stats.put<uint64_t>(pc.capacity);
+  put_u64s({pc.hits, pc.misses, pc.entries, pc.capacity});
   auto put_hist = [&stats](const sched::LatencyHistogram& h) {
     stats.put<uint64_t>(h.count);
     stats.put<double>(h.sum_seconds);
@@ -557,12 +380,8 @@ void QueryServer::append_stats_tails(wire::Payload& stats, uint64_t query_id,
   for (const auto& [id, t] : m.tenants) {
     stats.put_string(id);
     stats.put<double>(t.weight);
-    stats.put<uint64_t>(t.submitted);
-    stats.put<uint64_t>(t.admitted);
-    stats.put<uint64_t>(t.rejected);
-    stats.put<uint64_t>(t.completed);
-    stats.put<uint64_t>(t.queued);
-    stats.put<uint64_t>(t.running);
+    put_u64s({t.submitted, t.admitted, t.rejected, t.completed, t.queued,
+              t.running});
   }
 }
 
@@ -630,17 +449,15 @@ RemoteResult QueryClient::execute(const std::string& sql,
   Socket sock(connect_with_timeout(host_, port_, connect_timeout_seconds_));
 
   Payload q;
-  q.put<uint16_t>(static_cast<uint16_t>(partition.num_consumers));
-  q.put<uint8_t>(static_cast<uint8_t>(partition.policy));
-  q.put<int32_t>(partition.select_index);
-  q.put<double>(partition.range_lo);
-  q.put<double>(partition.range_hi);
+  put_partition(q, partition);
   q.put_string(sql);
   // v2 tail (a v1 server's positional parse simply ignores it).
   q.put<double>(opts.deadline_seconds);
   q.put<uint8_t>(opts.priority);
   // v2.2 tail: the fair-share tenant id.
   q.put_string(opts.tenant);
+  // v2.3 tail: the kBlockCyclic block size.
+  q.put<uint64_t>(partition.block_size);
   send_frame(sock.fd, kQuery, q);
 
   RemoteResult result;
@@ -649,7 +466,7 @@ RemoteResult QueryClient::execute(const std::string& sql,
   bool cancel_sent = false;
   for (;;) {
     auto [type, payload] =
-        recv_frame_cancellable(sock.fd, opts.cancel, cancel_sent);
+        recv_frame_watched(sock.fd, 0, opts.cancel, &cancel_sent);
     switch (type) {
       case kQueued: {
         uint64_t id = payload.get<uint64_t>();
@@ -676,41 +493,24 @@ RemoteResult QueryClient::execute(const std::string& sql,
         throw QueueFullError("server: " + msg, retry_after, kind);
       }
       case kSchema: {
-        uint16_t n = payload.get<uint16_t>();
-        cols.clear();
-        for (uint16_t i = 0; i < n; ++i) {
-          expr::Table::Column c;
-          c.type = static_cast<DataType>(payload.get<uint8_t>());
-          uint16_t len = payload.get<uint16_t>();
-          c.name.assign(
-              reinterpret_cast<const char*>(payload.raw(len)), len);
-          cols.push_back(std::move(c));
-        }
+        cols = get_schema(payload);
         result.partitions.assign(
             static_cast<std::size_t>(partition.num_consumers),
             expr::Table(cols));
         break;
       }
       case kRowBatch: {
-        uint16_t consumer = payload.get<uint16_t>();
-        uint32_t nrows = payload.get<uint32_t>();
-        uint16_t ncols = payload.get<uint16_t>();
-        if (consumer >= result.partitions.size())
-          throw IoError("row batch for unknown consumer");
-        // The rows are read at the schema's width, so a frame of another
-        // width must fail typed rather than be read past its end.
-        if (ncols != cols.size())
-          throw IoError("row batch has " + std::to_string(ncols) +
-                        " columns, schema has " +
-                        std::to_string(cols.size()));
-        const std::size_t nvals = static_cast<std::size_t>(nrows) * ncols;
-        const unsigned char* vals = payload.raw(nvals * sizeof(double));
-        rowbuf.resize(nvals);
-        std::memcpy(rowbuf.data(), vals, nvals * sizeof(double));
-        result.partitions[consumer].append_rows(rowbuf.data(), nrows);
+        const RowBatchView v =
+            get_row_batch(payload, result.partitions.size(), cols.size());
+        rowbuf.clear();
+        v.append_to(rowbuf);
+        result.partitions[v.consumer].append_rows(rowbuf.data(), v.nrows);
         break;
       }
       case kStats: {
+        auto get_u64s = [&payload](std::initializer_list<uint64_t*> fs) {
+          for (uint64_t* f : fs) *f = payload.get<uint64_t>();
+        };
         uint32_t n = payload.get<uint32_t>();
         for (uint32_t i = 0; i < n; ++i) {
           NodeStats ns;
@@ -727,17 +527,10 @@ RemoteResult QueryClient::execute(const std::string& sql,
           s.query_id = payload.get<uint64_t>();
           s.queue_wait_seconds = payload.get<double>();
           s.run_seconds = payload.get<double>();
-          s.submitted = payload.get<uint64_t>();
-          s.admitted = payload.get<uint64_t>();
-          s.rejected = payload.get<uint64_t>();
-          s.completed = payload.get<uint64_t>();
-          s.failed = payload.get<uint64_t>();
-          s.cancelled = payload.get<uint64_t>();
-          s.deadline_exceeded = payload.get<uint64_t>();
-          s.queue_depth = payload.get<uint64_t>();
-          s.running = payload.get<uint64_t>();
-          s.peak_running = payload.get<uint64_t>();
-          s.peak_queue_depth = payload.get<uint64_t>();
+          get_u64s({&s.submitted, &s.admitted, &s.rejected, &s.completed,
+                    &s.failed, &s.cancelled, &s.deadline_exceeded,
+                    &s.queue_depth, &s.running, &s.peak_running,
+                    &s.peak_queue_depth});
           // v2.1: optional pacing hint (absent from v2 servers).
           if (payload.remaining() >= sizeof(double))
             s.retry_after_hint_seconds = payload.get<double>();
@@ -745,24 +538,16 @@ RemoteResult QueryClient::execute(const std::string& sql,
           if (payload.remaining() >= 1) {
             s.serving_valid = true;
             s.served_from_cache = payload.get<uint8_t>() != 0;
-            s.result_cache.lookups = payload.get<uint64_t>();
-            s.result_cache.hits = payload.get<uint64_t>();
-            s.result_cache.misses = payload.get<uint64_t>();
-            s.result_cache.coalesced = payload.get<uint64_t>();
-            s.result_cache.inserts = payload.get<uint64_t>();
-            s.result_cache.evictions = payload.get<uint64_t>();
-            s.result_cache.too_large = payload.get<uint64_t>();
-            s.result_cache.poisoned = payload.get<uint64_t>();
-            s.result_cache.entries =
-                static_cast<std::size_t>(payload.get<uint64_t>());
-            s.result_cache.bytes =
-                static_cast<std::size_t>(payload.get<uint64_t>());
-            s.plan_cache.hits = payload.get<uint64_t>();
-            s.plan_cache.misses = payload.get<uint64_t>();
-            s.plan_cache.entries =
-                static_cast<std::size_t>(payload.get<uint64_t>());
-            s.plan_cache.capacity =
-                static_cast<std::size_t>(payload.get<uint64_t>());
+            serve::ResultCache::Stats& rc = s.result_cache;
+            get_u64s({&rc.lookups, &rc.hits, &rc.misses, &rc.coalesced,
+                      &rc.inserts, &rc.evictions, &rc.too_large,
+                      &rc.poisoned});
+            rc.entries = static_cast<std::size_t>(payload.get<uint64_t>());
+            rc.bytes = static_cast<std::size_t>(payload.get<uint64_t>());
+            PlanCache::Stats& pc = s.plan_cache;
+            get_u64s({&pc.hits, &pc.misses});
+            pc.entries = static_cast<std::size_t>(payload.get<uint64_t>());
+            pc.capacity = static_cast<std::size_t>(payload.get<uint64_t>());
             auto get_hist = [&payload](sched::LatencyHistogram& h) {
               h.count = payload.get<uint64_t>();
               h.sum_seconds = payload.get<double>();
@@ -779,12 +564,8 @@ RemoteResult QueryClient::execute(const std::string& sql,
               std::string id = payload.get_string();
               SchedInfo::TenantCounters tc;
               tc.weight = payload.get<double>();
-              tc.submitted = payload.get<uint64_t>();
-              tc.admitted = payload.get<uint64_t>();
-              tc.rejected = payload.get<uint64_t>();
-              tc.completed = payload.get<uint64_t>();
-              tc.queued = payload.get<uint64_t>();
-              tc.running = payload.get<uint64_t>();
+              get_u64s({&tc.submitted, &tc.admitted, &tc.rejected,
+                        &tc.completed, &tc.queued, &tc.running});
               s.tenants.emplace(std::move(id), tc);
             }
           }

@@ -23,6 +23,9 @@
 //                               [v2.2 tail: u32 tenant_length, tenant bytes —
 //                                the fair-share account; absent = the
 //                                default tenant]
+//                               [v2.3 tail: u64 block_size — kBlockCyclic's
+//                                block; read only when the tenant tail
+//                                parsed, absent = 64]
 //     0x02 kSchema    payload = u16 ncols, then per column:
 //                               u8 type, u16 name_length, name bytes
 //     0x03 kRowBatch  payload = u16 consumer, u32 nrows, u16 ncols,
@@ -62,19 +65,20 @@
 //                                (sched::RejectKind) — tells a quota'd
 //                                tenant apart from a genuinely full server]
 //
-// v1 interop: the kQuery tail and the kStats tails are optional — an older
+// v1 interop: the kQuery tails and the kStats tails are optional — an older
 // peer simply never sends or reads them (payload parsing is positional,
-// trailing bytes are ignored).  The distribution frames (0x10+, node
-// daemons and the scatter/gather coordinator) are documented in
-// storm/wire.h and docs/DISTRIBUTION.md.
+// trailing bytes are ignored).  The partition fields, kSchema and kRowBatch
+// are coded by storm/wire.h's put_/get_ pairs, which the node daemon and
+// the coordinator share.  The distribution frames (0x10+, node daemons and
+// the scatter/gather coordinator) are documented in storm/wire.h and
+// docs/DISTRIBUTION.md.
 #pragma once
 
 #include <atomic>
 #include <functional>
-#include <list>
+#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cancel.h"
@@ -83,12 +87,9 @@
 #include "serve/plan_cache.h"
 #include "serve/result_cache.h"
 #include "storm/cluster.h"
+#include "storm/wire.h"
 
 namespace adv::storm {
-
-namespace wire {
-class Payload;
-}
 
 // Serves one dataset on a TCP port.  Each connection is handled on its own
 // thread; queries on different connections pass through one shared
@@ -107,7 +108,7 @@ class QueryServer {
   QueryServer& operator=(const QueryServer&) = delete;
 
   // The bound port.
-  int port() const { return port_; }
+  int port() const { return listener_->port(); }
   uint64_t queries_served() const { return queries_served_.load(); }
   sched::SchedulerMetrics scheduler_metrics() const {
     return scheduler_.metrics();
@@ -135,21 +136,7 @@ class QueryServer {
   void shutdown();
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    // True once a query frame arrived: shutdown() leaves busy connections
-    // alone (the scheduler drain settles their fate and they exit on their
-    // own, with the cancel/error frame delivered intact) and only forces
-    // idle ones — parked in recv awaiting a query — off their sockets.
-    std::atomic<bool> busy{false};
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void serve_connection(Connection* conn);
-  void serve_query(Connection* conn);
-  void reap_finished_locked();
+  void serve_query(wire::Listener::Connection& conn);
   // Appends the kStats v2 sched tail + v2.1 hint + v2.2 serving tail.
   void append_stats_tails(wire::Payload& stats, uint64_t query_id,
                           double queue_wait_seconds, double run_seconds,
@@ -162,15 +149,9 @@ class QueryServer {
   const serve::ServeOptions serve_opts_;
   std::unique_ptr<serve::ResultCache> result_cache_;  // null = disabled
   std::unique_ptr<PlanCache> plan_cache_;             // null = disabled
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> queries_served_{0};
-  std::thread acceptor_;
-  std::mutex conn_mu_;
-  // std::list: node addresses stay valid while threads run, so shutdown
-  // can collect Connection* under the lock and join outside it.
-  std::list<std::unique_ptr<Connection>> connections_;
+  // Last: started once everything it serves with exists.
+  std::unique_ptr<wire::Listener> listener_;
 };
 
 // Scheduler-side view of one served query plus a snapshot of the server's

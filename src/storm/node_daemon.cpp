@@ -1,13 +1,9 @@
 #include "storm/node_daemon.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -46,30 +42,6 @@ uint64_t plan_fingerprint(const afc::PlanResult& pr) {
   return h;
 }
 
-void put_node_stats(Payload& p, const NodeStats& ns) {
-  p.put<int32_t>(ns.node_id);
-  p.put<double>(ns.busy_seconds);
-  p.put<double>(ns.transfer_seconds);
-  p.put<uint64_t>(ns.afcs);
-  p.put<uint64_t>(ns.bytes_read);
-  p.put<uint64_t>(ns.rows_scanned);
-  p.put<uint64_t>(ns.rows_matched);
-  p.put<uint64_t>(ns.bytes_sent);
-  p.put<uint64_t>(ns.afcs_pruned);
-  p.put<uint64_t>(ns.rows_pruned);
-  p.put<uint64_t>(ns.bytes_skipped);
-  p.put<uint64_t>(ns.io_retries);
-  p.put<uint64_t>(ns.afcs_interp);
-  p.put<uint64_t>(ns.afcs_vector);
-  p.put<uint64_t>(0);  // retired tier counter; slot kept so older peers parse
-  // Aggregation tail (optional for older coordinators).
-  p.put<uint64_t>(ns.groups_emitted);
-  p.put<uint64_t>(ns.agg_bytes_shipped);
-  p.put<uint64_t>(ns.agg_dense);
-  p.put<uint64_t>(ns.agg_hash);
-  p.put<uint64_t>(ns.agg_radix);
-}
-
 }  // namespace
 
 NodeDaemon::NodeDaemon(std::shared_ptr<codegen::DataServicePlan> plan,
@@ -81,103 +53,27 @@ NodeDaemon::NodeDaemon(std::shared_ptr<codegen::DataServicePlan> plan,
                           " outside the dataset's " +
                           std::to_string(plan_->model().num_nodes()) +
                           " nodes");
-  ignore_sigpipe();
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw IoError("cannot create node daemon socket");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(opts_.port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(listen_fd_);
-    throw IoError(std::string("cannot bind node daemon: ") +
-                  std::strerror(errno));
-  }
-  socklen_t alen = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    throw IoError("cannot listen on node daemon socket");
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
+  listener_ = std::make_unique<Listener>(
+      opts_.port, "node daemon",
+      [this](Listener::Connection& conn) { serve_scatter(conn); });
 }
 
 NodeDaemon::~NodeDaemon() { shutdown(); }
 
 void NodeDaemon::shutdown() {
-  if (stopping_.exchange(true)) return;
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  if (!listener_->stop_accepting()) return;
   // Cancel in-flight queries and unblock their sockets; each serving
   // thread unwinds within one extraction batch, answers with a typed
   // kError if it still can, and exits.
-  std::vector<Connection*> conns;
-  {
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    for (auto& c : connections_) {
-      c->token.cancel();
-      if (c->fd >= 0) ::shutdown(c->fd, SHUT_RD);
-      conns.push_back(c.get());
-    }
-  }
-  for (Connection* c : conns)
-    if (c->thread.joinable()) c->thread.join();
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  connections_.clear();
+  listener_->close_connections([](Listener::Connection& c) {
+    c.token.cancel();
+    if (c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
+  });
 }
 
-void NodeDaemon::accept_loop() {
-  for (;;) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_ || (errno != EINTR && errno != ECONNABORTED)) return;
-      continue;
-    }
-    if (stopping_) {
-      ::close(fd);
-      return;
-    }
-    set_nodelay(fd);
-    std::lock_guard<std::mutex> lk(conn_mu_);
-    reap_finished_locked();
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    Connection* cp = conn.get();
-    connections_.push_back(std::move(conn));
-    cp->thread = std::thread([this, cp] { serve_connection(cp); });
-  }
-}
-
-void NodeDaemon::reap_finished_locked() {
-  for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) (*it)->thread.join();
-      it = connections_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void NodeDaemon::serve_connection(Connection* conn) {
-  serve_scatter(conn);
-  std::lock_guard<std::mutex> lk(conn_mu_);
-  if (conn->fd >= 0) {
-    ::close(conn->fd);
-    conn->fd = -1;
-  }
-  conn->done.store(true);
-}
-
-void NodeDaemon::serve_scatter(Connection* conn) {
-  const int fd = conn->fd;
-  CancelToken& token = conn->token;
+void NodeDaemon::serve_scatter(Listener::Connection& conn) {
+  const int fd = conn.fd;
+  CancelToken& token = conn.token;
   std::mutex send_mu;  // serializes row batches, progress, and heartbeats
   try {
     auto [type, payload] = recv_frame(fd);
@@ -196,12 +92,7 @@ void NodeDaemon::serve_scatter(Connection* conn) {
     // ---- Parse the scatter request. -----------------------------------
     const int32_t want_node = static_cast<int32_t>(payload.get<uint32_t>());
     const uint64_t start_afc = payload.get<uint64_t>();
-    PartitionSpec part;
-    part.num_consumers = payload.get<uint16_t>();
-    part.policy = static_cast<PartitionSpec::Policy>(payload.get<uint8_t>());
-    part.select_index = payload.get<int32_t>();
-    part.range_lo = payload.get<double>();
-    part.range_hi = payload.get<double>();
+    PartitionSpec part = get_partition(payload);
     part.block_size = payload.get<uint64_t>();
     const std::string sql = payload.get_string();
     const double deadline_seconds = payload.get<double>();
@@ -226,27 +117,8 @@ void NodeDaemon::serve_scatter(Connection* conn) {
     token.set_deadline_after(deadline_seconds);
 
     // Control reader: a kCancel frame or a disconnect fires the token for
-    // the rest of the query's life (same pattern as QueryServer).
-    std::thread reader([fd, &token] {
-      try {
-        for (;;) {
-          auto [t, p] = recv_frame(fd);
-          if (t == kCancel) {
-            token.cancel();
-            return;
-          }
-        }
-      } catch (const Error&) {
-        token.cancel();
-      }
-    });
-    bool reader_joined = false;
-    auto join_reader = [&]() noexcept {
-      if (reader_joined) return;
-      reader_joined = true;
-      ::shutdown(fd, SHUT_RD);
-      reader.join();
-    };
+    // the rest of the query's life.
+    ControlReader reader(fd, token);
 
     // Heartbeat thread state; started only once the plan is announced.
     std::atomic<uint64_t> afcs_started{0};
@@ -334,16 +206,14 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       // ---- Extraction: the shared node loop, one range, checkpointed. --
       PartitionGenerationService partsvc(part);
       WorkerStats ws;
+      std::vector<unsigned char> frame;  // one range worker: one sender
       RangeSink sink = runner.make_sink(opts_.node_id, partsvc, ws,
                                         [&](RowBatch& b) {
-        Payload batch;
-        batch.put<uint16_t>(static_cast<uint16_t>(b.consumer));
-        batch.put<uint32_t>(static_cast<uint32_t>(b.num_rows()));
-        batch.put<uint16_t>(static_cast<uint16_t>(b.num_cols));
-        batch.put_bytes(b.data.data(), b.bytes());
+        frame.clear();
+        append_row_batch(frame, b);
         {
           std::lock_guard<std::mutex> lk(send_mu);
-          send_frame(fd, kRowBatch, batch);
+          write_all(fd, frame.data(), frame.size());
         }
         rows_shipped.fetch_add(b.num_rows(), std::memory_order_relaxed);
         return 0.0;
@@ -417,7 +287,7 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       stats.busy_seconds = busy.elapsed_seconds();
 
       stop_heartbeat();
-      join_reader();
+      reader.join();
       Payload sp;
       put_node_stats(sp, stats);
       send_frame(fd, kNodeStats, sp);
@@ -427,7 +297,7 @@ void NodeDaemon::serve_scatter(Connection* conn) {
       send_frame(fd, kEnd, Payload());
     } catch (const std::exception& e) {
       stop_heartbeat();
-      join_reader();
+      reader.join();
       send_error(fd, e.what(), classify_error(e));
     }
   } catch (const Error&) {

@@ -33,11 +33,10 @@
 #pragma once
 
 #include <atomic>
-#include <list>
 #include <memory>
-#include <thread>
 
 #include "storm/cluster.h"
+#include "storm/wire.h"
 
 namespace adv::storm {
 
@@ -76,7 +75,7 @@ class NodeDaemon {
   NodeDaemon(const NodeDaemon&) = delete;
   NodeDaemon& operator=(const NodeDaemon&) = delete;
 
-  int port() const { return port_; }
+  int port() const { return listener_->port(); }
   int node_id() const { return opts_.node_id; }
   uint64_t queries_served() const { return queries_served_.load(); }
 
@@ -85,29 +84,13 @@ class NodeDaemon {
   void shutdown();
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    // Fired by shutdown() so an in-flight extraction unwinds within one
-    // batch instead of racing the socket teardown.
-    CancelToken token;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void serve_connection(Connection* conn);
-  void serve_scatter(Connection* conn);
-  void reap_finished_locked();
+  void serve_scatter(wire::Listener::Connection& conn);
 
   std::shared_ptr<codegen::DataServicePlan> plan_;
   NodeDaemonOptions opts_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> queries_served_{0};
-  std::thread acceptor_;
-  std::mutex conn_mu_;
-  std::list<std::unique_ptr<Connection>> connections_;
+  // Last: started once everything it serves with exists.
+  std::unique_ptr<wire::Listener> listener_;
 };
 
 }  // namespace adv::storm

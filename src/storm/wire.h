@@ -1,24 +1,30 @@
-// Shared wire codec for the STORM network protocol (v2 + distribution).
+// Shared wire layer for the STORM network protocol (v2 + distribution).
 //
 // One frame grammar serves three peers: QueryServer/QueryClient (the
 // client-facing query service, src/storm/net.cpp), NodeDaemon (a
 // per-shard storage-node server process, src/storm/node_daemon.cpp), and
-// DistCoordinator (the scatter/gather side, src/storm/dist.cpp).  Keeping
-// the codec in one place is what makes the interop guarantees testable:
-// every peer parses payloads positionally and ignores unknown trailing
-// bytes, so a newer peer's extra fields degrade gracefully, and every
-// peer answers an unexpected frame type with a typed kError instead of
-// hanging.
+// DistCoordinator (the scatter/gather side, src/storm/dist.cpp).  Every
+// frame that more than one site writes or reads has its one encoder and
+// one decoder here (kSchema, kRowBatch, kNodeStats, the partition fields
+// of kQuery/kNodeQuery), as do the loopback listener and the per-request
+// control reader both servers run.  Keeping the codec in one
+// place is what makes the interop guarantees testable: every peer parses
+// payloads positionally and ignores unknown trailing bytes, so a newer
+// peer's extra fields degrade gracefully, and every peer answers an
+// unexpected frame type with a typed kError instead of hanging.
 //
 //   frame := u32 payload_length (LE), u8 type, payload
+//
+// A frame is built as one byte string (header and payload together) and
+// leaves in one write_all, which is also what lets the query server's
+// result cache keep the exact bytes it sent and replay them on a hit.
 //
 // Client/server types 0x01..0x0A are documented in storm/net.h.  The
 // distribution types (coordinator <-> node daemon) are:
 //
 //   0x10 kNodeQuery  coordinator -> daemon: execute this node's share.
 //                    payload = u32 node_id, u64 start_afc,
-//                              u16 num_consumers, u8 policy,
-//                              i32 select_index, f64 range_lo, f64 range_hi,
+//                              partition fields (put_partition),
 //                              u64 block_size, u32 sql_len, sql bytes,
 //                              f64 deadline_seconds,
 //                              f64 heartbeat_interval_seconds,
@@ -40,9 +46,9 @@
 //                    payload = u64 afcs_started, u64 rows_shipped,
 //                              u64 beat_index
 //   0x14 kNodeStats  daemon -> coordinator: the node's full NodeStats,
-//                    sent once before kEnd.  Aggregation counters
-//                    (groups_emitted, agg_bytes_shipped, strategy counts)
-//                    ride as an optional 5×u64 tail.
+//                    sent once before kEnd (put_node_stats).  Aggregation
+//                    counters (groups_emitted, agg_bytes_shipped, strategy
+//                    counts) ride as an optional 5×u64 tail.
 //   0x15 kAggBatch   daemon -> coordinator: serialized partial-aggregate
 //                    DELTA state (agg::encode format) covering the rows of
 //                    the AFC window since the previous checkpoint, sent in
@@ -61,15 +67,23 @@
 // missing tail parses as ErrorKind::kOther).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <list>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/error.h"
+#include "expr/table.h"
+#include "storm/cluster.h"
 
 namespace adv::storm::wire {
 
@@ -160,21 +174,64 @@ class Payload {
 void write_all(int fd, const void* buf, std::size_t n);
 void read_all(int fd, void* buf, std::size_t n);
 
+// Appends one whole frame (header, then payload) to `out`.
+void append_frame(std::vector<unsigned char>& out, MsgType type,
+                  const Payload& payload);
+// One frame, one write_all.
 void send_frame(int fd, MsgType type, const Payload& payload);
 std::pair<MsgType, Payload> recv_frame(int fd);
 
-// Receive that watches a CancelToken while blocked: polls the socket in
-// 20 ms ticks, and when the token fires sends one kCancel frame, then
-// keeps receiving — the server terminates the stream with kError.
-std::pair<MsgType, Payload> recv_frame_cancellable(int fd,
-                                                   const CancelToken* cancel,
-                                                   bool& cancel_sent);
+// ---------------------------------------------------------------------------
+// Codecs of the frames more than one site writes or reads.
 
-// Receive bounded by a poll timeout: throws IoError("receive timed out...")
-// when no frame header byte arrives within `timeout_seconds` (<= 0 blocks
-// forever).  Used by the coordinator so a silent peer can never hang a
-// gather thread.
-std::pair<MsgType, Payload> recv_frame_timeout(int fd, double timeout_seconds);
+// The partition fields kQuery and kNodeQuery share: u16 num_consumers,
+// u8 policy, i32 select_index, f64 range_lo, f64 range_hi.  block_size is
+// not among them: kNodeQuery carries it right after them, kQuery in its
+// v2.3 tail (storm/net.h).
+void put_partition(Payload& p, const PartitionSpec& part);
+PartitionSpec get_partition(Payload& p);
+
+// kSchema: u16 ncols, then per column u8 type, u16 name_length, name bytes.
+void put_schema(Payload& p, const std::vector<expr::Table::Column>& cols);
+std::vector<expr::Table::Column> get_schema(Payload& p);
+
+// kRowBatch: u16 consumer, u32 nrows, u16 ncols, nrows*ncols f64 values
+// (row-major).  The encoder appends the whole frame to `out` in one pass,
+// so a sender can keep the bytes it wrote.
+void append_row_batch(std::vector<unsigned char>& out, const RowBatch& b);
+
+// A decoded kRowBatch.  `values` points into the payload (not aligned).
+struct RowBatchView {
+  std::size_t consumer = 0;
+  std::size_t nrows = 0;
+  std::size_t ncols = 0;
+  const unsigned char* values = nullptr;
+
+  // Appends the batch's nrows*ncols values to `dst`.
+  void append_to(std::vector<double>& dst) const;
+};
+// Throws IoError unless consumer < num_consumers and the batch is
+// `ncols` wide: rows are read at the receiver's width, so a frame of
+// another width fails typed rather than being read past its end.
+RowBatchView get_row_batch(Payload& p, std::size_t num_consumers,
+                           std::size_t ncols);
+
+// kNodeStats: i32 node_id, f64 busy_seconds, f64 transfer_seconds, 12 u64
+// counters (afcs … afcs_vector, then a retired tier slot kept so older
+// peers parse), then the optional 5×u64 aggregation tail.
+void put_node_stats(Payload& p, const NodeStats& ns);
+NodeStats get_node_stats(Payload& p);
+
+// Receive that polls while blocked, in ticks of at most 20 ms.  When
+// `cancel` fires it sends one kCancel frame (`*cancel_sent` records that
+// it went) and keeps receiving — the server ends the stream with kError.
+// When no frame arrives within `timeout_seconds` (<= 0: no limit) it
+// throws IoError("receive timed out..."), so a silent peer can never hang
+// a coordinator's gather thread.
+std::pair<MsgType, Payload> recv_frame_watched(int fd, double timeout_seconds,
+                                               const CancelToken* cancel =
+                                                   nullptr,
+                                               bool* cancel_sent = nullptr);
 
 // Sends a typed error frame; failures are swallowed (the peer may already
 // be gone — there is nobody left to tell).
@@ -184,8 +241,6 @@ void send_error(int fd, const std::string& msg,
 // Parses a kError payload: message plus the optional trailing kind byte
 // (ErrorKind::kOther when the peer predates the tail).
 std::pair<std::string, ErrorKind> parse_error(Payload& payload);
-
-void set_nodelay(int fd);
 
 // Makes SIGPIPE harmless process-wide (idempotent).  Every server
 // entrypoint calls this as belt-and-braces on top of MSG_NOSIGNAL: a peer
@@ -199,24 +254,73 @@ void ignore_sigpipe();
 int connect_with_timeout(const std::string& host, int port,
                          double timeout_seconds);
 
+// Loopback listener shared by QueryServer and NodeDaemon: binds
+// 127.0.0.1:`port` (0 = ephemeral; IoError naming `what` on failure),
+// accepts on its own thread and runs `serve` on a thread per connection.
+// The fd is closed under the lock once `serve` returns, so
+// close_connections() never touches a closed (possibly reused) one.
+class Listener {
+ public:
+  struct Connection {
+    int fd = -1;
+    std::thread thread;
+    std::atomic<bool> done{false};
+    // Read by the servers' shutdown policies: QueryServer spares busy
+    // connections (a query frame arrived), NodeDaemon cancels every token.
+    std::atomic<bool> busy{false};
+    CancelToken token;
+  };
+
+  Listener(int port, const std::string& what,
+           std::function<void(Connection&)> serve);
+  ~Listener();
+  Listener(const Listener&) = delete;
+  Listener& operator=(const Listener&) = delete;
+
+  int port() const { return port_; }
+  // Shuts the listen socket down (close would race accept against fd
+  // reuse), joins the acceptor, closes it.  False when already stopped.
+  bool stop_accepting();
+  // Runs `on_live` under the lock on every listed connection, then joins
+  // them all.
+  void close_connections(const std::function<void(Connection&)>& on_live);
+
+ private:
+  void accept_loop();
+
+  std::function<void(Connection&)> serve_;
+  int listen_fd_ = -1;
+  int port_ = 0;
+  std::atomic<bool> stopping_{false};
+  std::mutex mu_;
+  // A list keeps addresses stable while serving threads hold them.
+  std::list<std::unique_ptr<Connection>> connections_;
+  std::thread acceptor_;
+};
+
+// One request's control reader: until join(), a kCancel frame or EOF on
+// `fd` cancels `token`; other frames are ignored.
+class ControlReader {
+ public:
+  ControlReader(int fd, CancelToken& token);
+  ~ControlReader() { join(); }
+  ControlReader(const ControlReader&) = delete;
+  ControlReader& operator=(const ControlReader&) = delete;
+  // Shuts the read side down, unblocking the reader, and joins it.
+  void join() noexcept;
+
+ private:
+  int fd_;
+  std::thread thread_;
+};
+
 // RAII socket.
 struct Socket {
   int fd = -1;
-  Socket() = default;
   explicit Socket(int f) : fd(f) {}
-  ~Socket() { reset(); }
+  ~Socket();
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
-  Socket(Socket&& o) noexcept : fd(o.fd) { o.fd = -1; }
-  Socket& operator=(Socket&& o) noexcept {
-    if (this != &o) {
-      reset();
-      fd = o.fd;
-      o.fd = -1;
-    }
-    return *this;
-  }
-  void reset();
   int release() {
     int f = fd;
     fd = -1;

@@ -195,15 +195,23 @@ ZoneMap ZoneMap::build(const codegen::DataServicePlan& plan, ThreadPool* pool,
     BoundsSink sink(scanned.data() + t * width, attrs.size());
     ex.extract(pr.groups[g], a, bindings[tasks[t].pr][g], q, sink);
   };
-  if (pool && pool->size() > 1 && tasks.size() > 1) {
-    pool->parallel_for(tasks.size(), [&](std::size_t t) {
-      codegen::Extractor ex;
-      scan_one(t, ex);
-    });
-  } else {
+  // Contiguous task ranges (about four per pool thread, as the cluster's
+  // node loop cuts them), each scanned by one Extractor, so an AFC's files
+  // are resolved once per range rather than once per AFC.
+  const std::size_t nranges =
+      pool && pool->size() > 1
+          ? std::clamp<std::size_t>(tasks.size(), 1, pool->size() * 4)
+          : 1;
+  auto scan_range = [&](std::size_t k) {
     codegen::Extractor ex;
-    for (std::size_t t = 0; t < tasks.size(); ++t) scan_one(t, ex);
-  }
+    for (std::size_t t = tasks.size() * k / nranges;
+         t < tasks.size() * (k + 1) / nranges; ++t)
+      scan_one(t, ex);
+  };
+  if (nranges > 1)
+    pool->parallel_for(nranges, scan_range);
+  else
+    scan_range(0);
 
   // File ids in path order, resolved once per group.
   std::map<std::string, uint32_t> ids;

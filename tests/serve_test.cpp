@@ -331,6 +331,58 @@ TEST(ServeE2ETest, CachedHitMatchesUncachedRun) {
   EXPECT_TRUE(split.merged().same_rows(cold.merged()));
 }
 
+// Every partition spec field reaches the served execution and the cache
+// key: each policy's cold result matches the in-process cluster partition
+// by partition, and its hit replays exactly those columns.  kBlockCyclic
+// runs twice on one server with different block sizes, so a key without
+// block_size would serve the first block size's rows for the second.
+TEST(ServeE2ETest, EveryPartitionSpecMatchesInProcessColdAndHot) {
+  ServeFixture f;
+  storm::QueryServer server = make_caching_server(f);
+  storm::QueryClient client("127.0.0.1", server.port());
+  storm::StormCluster cluster(f.plan);
+  using Policy = storm::PartitionSpec::Policy;
+
+  auto spec = [](Policy policy, int consumers, int select_index = -1) {
+    storm::PartitionSpec p;
+    p.policy = policy;
+    p.num_consumers = consumers;
+    p.select_index = select_index;
+    return p;
+  };
+  std::vector<storm::PartitionSpec> specs = {
+      spec(Policy::kSingle, 1), spec(Policy::kRoundRobin, 3),
+      spec(Policy::kHashAttr, 3, 0), spec(Policy::kRangeAttr, 3, 2)};
+  specs.back().range_lo = 0.25;
+  for (uint64_t block : {16u, 32u}) {
+    specs.push_back(spec(Policy::kBlockCyclic, 2));
+    specs.back().block_size = block;
+  }
+
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    const storm::PartitionSpec& part = specs[i];
+    storm::QueryResult want = cluster.execute(kSql, part);
+    storm::RemoteResult cold = client.execute(kSql, part);
+    storm::RemoteResult hot = client.execute(kSql, part);
+    EXPECT_FALSE(cold.sched.served_from_cache);
+    EXPECT_TRUE(hot.sched.served_from_cache);
+    ASSERT_EQ(want.partitions.size(), cold.partitions.size());
+    ASSERT_EQ(hot.partitions.size(), cold.partitions.size());
+    for (std::size_t c = 0; c < cold.partitions.size(); ++c) {
+      EXPECT_TRUE(cold.partitions[c].same_rows(want.partitions[c]))
+          << "consumer " << c;
+      const expr::Table& h = hot.partitions[c];
+      const expr::Table& k = cold.partitions[c];
+      ASSERT_EQ(h.num_cols(), k.num_cols());
+      for (std::size_t col = 0; col < k.num_cols(); ++col) {
+        EXPECT_EQ(h.columns()[col].name, k.columns()[col].name);
+        EXPECT_EQ(h.column(col), k.column(col)) << "consumer " << c;
+      }
+    }
+  }
+}
+
 TEST(ServeE2ETest, InPlaceRewriteInvalidatesCachedEntry) {
   ServeFixture f;
   storm::QueryServer cached = make_caching_server(f);

@@ -3,8 +3,7 @@
 // Every failing dq test prints a one-line replay command pointing here:
 //
 //   adv_fuzz --seed 17
-//   adv_fuzz --seed 17 --fault-spec 'pread.eio=0.01,mmap.fail=0.5' \
-//            --fault-seed 17 --server
+//   adv_fuzz --seed 17 --fault-seed 17 --fault-spec 'pread.eio=0.01' --server
 //
 // The binary shares tests/dq/dq_run.cpp with the gtest suites, so a replay
 // is the exact run — same generated dataset, same query corpus, same fault
